@@ -131,17 +131,15 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     workers = f", workers: {args.workers}" if args.workers > 1 else ""
-    store = f", store: {args.store}" if args.store != "objects" else ""
     print(f"{args.protocol}: {len(universe)} configurations "
-          f"(complete: {universe.is_complete}{workers}{store})")
-    if args.store == "arena":
-        stats = universe._configurations.stats()
-        print(
-            f"arena: {stats['sealed_chunks']} sealed chunks "
-            f"({stats['raw_bytes']} raw -> {stats['compressed_bytes']} "
-            f"compressed bytes), {stats['spilled_chunks']} spilled "
-            f"({stats['spilled_bytes']} bytes on disk)"
-        )
+          f"(complete: {universe.is_complete}{workers})")
+    stats = universe._configurations.stats()
+    print(
+        f"arena: {stats['sealed_chunks']} sealed chunks "
+        f"({stats['raw_bytes']} raw -> {stats['compressed_bytes']} "
+        f"compressed bytes), {stats['spilled_chunks']} spilled "
+        f"({stats['spilled_bytes']} bytes on disk)"
+    )
     session = universe._checkpoint_session
     if session is not None:
         if session.resumed_from is not None:
@@ -249,7 +247,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         suite=args.suite,
         budget=args.budget,
         workers=args.workers,
-        store=args.store,
     )
 
 
@@ -388,12 +385,9 @@ def make_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "--store",
         choices=["objects", "arena"],
-        default="objects",
-        help="configuration store (ExplorationOptions.store): 'objects' "
-        "keeps every Configuration materialised (fastest for small "
-        "universes); 'arena' packs (parent id, event, hash) columns with "
-        "lazy materialisation and compressed cold layers — same result "
-        "bit-for-bit, a fraction of the memory at scale",
+        default="arena",
+        help="accepted for compatibility and ignored: configurations "
+        "always live in the packed arena store ('objects' is deprecated)",
     )
 
     # Flag groups mirror the ExplorationOptions dataclasses one-to-one;
@@ -443,14 +437,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="save the checkpoint every N completed layers (default 1)",
     )
     ckpt.add_argument(
-        "--checkpoint-format",
-        choices=["segmented", "monolithic"],
-        default="segmented",
-        help="on-disk writer: 'segmented' appends O(delta) segment files "
-        "from a background thread; 'monolithic' rewrites one v1 blob "
-        "per save (the retained baseline format)",
-    )
-    ckpt.add_argument(
         "--strict",
         action="store_true",
         help="refuse to salvage a damaged checkpoint: exit non-zero "
@@ -474,9 +460,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         metavar="PATH",
         default=None,
-        help="directory for the arena's on-disk cold tier (requires "
-        "--store arena); sealed layers stream to an mmap-backed spill "
-        "file, and the --rss-budget watchdog spills before it truncates",
+        help="directory for the arena's on-disk cold tier: sealed layers "
+        "stream to an mmap-backed spill file, and the --rss-budget "
+        "watchdog spills before it truncates",
     )
     explore.set_defaults(handler=cmd_explore)
 

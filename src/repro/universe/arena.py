@@ -1,23 +1,29 @@
 """Compact arena configuration store: packed histories, lazy objects.
 
 The exploration kernel discovers every configuration as *one parent plus
-one event*.  The arena persists exactly that — three packed
-struct-of-arrays columns (parent dense id, interned event index, rolling
-content hash; 20 bytes per configuration) — and materialises
-:class:`~repro.core.configuration.Configuration` objects lazily, behind
-the same sequence interface the object store exposed:
+one event*.  The arena — the universe's only configuration store —
+persists exactly that: three packed struct-of-arrays columns (parent
+dense id, interned event index, rolling content hash; 20 bytes per
+configuration).  It materialises
+:class:`~repro.core.configuration.Configuration` objects lazily, behind a
+read-only sequence interface:
 
 * a **hot window** keeps the current BFS frontier and the layer under
   construction as real objects (the only ids the kernel dereferences,
   thanks to the layer-uniform event count of BFS layers);
 * everything colder is reached by a **chain walk** up the parent column
   to the nearest materialised ancestor, rebuilding descendants through a
-  bounded LRU — property sweeps and spot lookups never pay for objects
+  bounded cache — property sweeps and spot lookups never pay for objects
   they don't touch;
 * sealed **cold chunks** (whole column slices below the hot window)
   compress with zlib at batch level and, when a ``spill_dir`` is given,
   stream to an mmap-backed on-disk arena so resident memory stays
   O(frontier), not O(universe).
+
+Analysis never needs the objects for isomorphism: the same two columns
+derive one local-state id column per process
+(:meth:`ArenaStore.local_state_columns`), the index partition tables
+are keyed on.
 
 :func:`compress_batch`/:func:`decompress_batch` are the batch codec the
 cold tier shares with the sharded engine's per-layer successor exchange
@@ -34,7 +40,7 @@ import warnings
 import zlib
 from array import array
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from repro.core.configuration import Configuration
 from repro.core.events import Event
@@ -70,12 +76,13 @@ _RAW_CHUNK_BYTES = _PARENT_BYTES + _EVENT_BYTES + 8 * _CHUNK_SIZE
 def _materialise_child(
     parent: Configuration, event: Event, content_hash: int
 ) -> Configuration:
-    """Rebuild the child ``parent + event`` with its recorded hash.
+    """Build the child ``parent + event`` with its recorded hash.
 
-    Mirrors the kernel's first-discovery construction exactly (same
-    sorted-insert items layout, same trusted constructor, same cache
-    propagation), so a lazily rematerialised configuration is
-    structurally identical to the object the kernel once held.
+    The one child constructor of the system — the sharded coordinator's
+    merge, lazy rematerialisation and iteration all build children here
+    (sorted-insert items layout, trusted constructor, cache
+    propagation), so every copy of a configuration is structurally
+    identical.
     """
     process = event.process
     parent_histories = parent._histories
@@ -122,10 +129,10 @@ def _rebuild_pinned(configurations: list[Configuration]) -> "ArenaStore":
 class ArenaStore:
     """Packed ``(parent_id, event, hash)`` store behind a sequence API.
 
-    Drop-in for the explorer's ``_configurations`` list: supports
-    ``len``, indexing (lazy materialisation), iteration (streaming, two
-    layers of transient objects), equality against any configuration
-    sequence, and ``append``/``clear``/``extend`` for the seeding and
+    The explorer's ``_configurations``: supports ``len``, indexing (lazy
+    materialisation), iteration (streaming, two layers of transient
+    objects), equality against any configuration sequence, and
+    ``append``/``append_child``/``replay`` for the kernel, seeding and
     checkpoint-install paths.
     """
 
@@ -240,6 +247,88 @@ class ArenaStore:
             out.append((parent, events[event_index]))
         return out
 
+    def events(self) -> set[Event]:
+        """Every event of every stored configuration: the interned
+        discovery events plus those inside pinned roots."""
+        found = set(self._events)
+        for configuration in self._pinned.values():
+            found.update(configuration.events())
+        return found
+
+    def _full_columns(self) -> tuple[array, array]:
+        """The whole parent and event-index columns, decompressed."""
+        parents = array("q")
+        events = array("i")
+        for chunk_index in range(len(self._chunks)):
+            chunk_parents, chunk_events, _ = self._chunk_arrays(chunk_index)
+            parents.extend(chunk_parents)
+            events.extend(chunk_events)
+        parents.extend(self._tail_parent)
+        events.extend(self._tail_event)
+        return parents, events
+
+    def local_state_columns(self, processes) -> dict:
+        """One ``uint32`` local-state id column per process.
+
+        ``column[config_id]`` names the process's local history in that
+        configuration: two configurations agree on a process iff their
+        ids agree.  Derived from the ``(parent id, event)`` columns
+        alone — a child's row is its parent's with the acting process's
+        entry replaced by a per-process trie step ``(parent state,
+        event) -> state``.  State 0 is the empty history (every root is
+        the empty configuration) and new states are numbered as they
+        first occur along the dense ids, so each column is already the
+        canonical class labelling of its singleton partition ``[p]``.
+
+        Columns are filled in runs of ids whose parents all precede the
+        run (BFS layers, for an explored universe): each run copies its
+        parents' states in one list comprehension and then steps only
+        the ids whose discovery event belongs to the process — one trie
+        step per configuration over all columns.
+        """
+        parents, events = self._full_columns()
+        parents = parents.tolist()
+        count = self._count
+        roots = len(self._pinned)
+        if parents[:roots] != [-1] * roots or any(map(len, self._pinned.values())):
+            raise ValueError(
+                "local-state columns need the roots to be leading empty "
+                "configurations"
+            )
+        position_of = {process: j for j, process in enumerate(processes)}
+        event_position = [position_of[event.process] for event in self._events]
+        stepped: list[list[int]] = [[] for _ in position_of]
+        for config_id in range(roots, count):
+            stepped[event_position[events[config_id]]].append(config_id)
+        runs: list[tuple[int, int]] = []
+        start = roots
+        while start < count:
+            end = start + 1
+            while end < count and parents[end] < start:
+                end += 1
+            runs.append((start, end))
+            start = end
+        width = len(self._events)
+        columns = {}
+        for process, position in position_of.items():
+            trie: dict[int, int] = {}  # state * width + event -> state
+            column = [0] * roots
+            ids = stepped[position]
+            cursor = 0
+            for start, end in runs:
+                column += [column[parent] for parent in parents[start:end]]
+                while cursor < len(ids) and ids[cursor] < end:
+                    config_id = ids[cursor]
+                    cursor += 1
+                    key = column[config_id] * width + events[config_id]
+                    state = trie.get(key)
+                    if state is None:
+                        state = len(trie) + 1
+                        trie[key] = state
+                    column[config_id] = state
+            columns[process] = array("I", column)
+        return columns
+
     # ------------------------------------------------------------------
     # Growth (exploration hot path)
     # ------------------------------------------------------------------
@@ -280,16 +369,6 @@ class ArenaStore:
         if child is not None:
             self._window[index] = child
         return index
-
-    def extend(self, configurations) -> None:
-        """Append arbitrary configurations as pinned roots.
-
-        Compatibility fallback (generic install paths); the kernel and
-        checkpoint replay use :meth:`append_child`/:meth:`replay`, which
-        keep the store packed.
-        """
-        for configuration in configurations:
-            self.append(configuration)
 
     def retire(self, new_floor: int) -> None:
         """Evict the consumed layer(s) below ``new_floor`` and seal cold
@@ -461,28 +540,40 @@ class ArenaStore:
         return self[index]
 
     def __getitem__(self, index):
+        if type(index) is int:
+            # Analysis fast path: resident objects answer with one probe
+            # (no recency bump — the bounded cache evicts first-in).
+            configuration = self._lru.get(index)
+            if configuration is not None:
+                return configuration
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(self._count))]
         if index < 0:
             index += self._count
         if not 0 <= index < self._count:
             raise IndexError("arena index out of range")
+        configuration = self._lru.get(index)
+        if configuration is not None:
+            return configuration
         configuration = self._window.get(index)
-        if configuration is not None:
-            return configuration
-        configuration = self._pinned.get(index)
-        if configuration is not None:
-            return configuration
-        lru = self._lru
-        configuration = lru.get(index)
-        if configuration is not None:
-            lru.move_to_end(index)
-            return configuration
-        return self._materialise(index)
+        if configuration is None:
+            configuration = self._pinned.get(index)
+            if configuration is None:
+                return self._materialise(index)
+        self._remember(index, configuration)
+        return configuration
+
+    def select(self, ids: Sequence[int]) -> tuple[Configuration, ...]:
+        """The configurations at ``ids`` — one C-level pass when every
+        one of them is already resident in the bounded cache."""
+        try:
+            return tuple(map(self._lru.__getitem__, ids))
+        except KeyError:
+            return tuple(map(self.__getitem__, ids))
 
     def _materialise(self, index: int) -> Configuration:
         """Chain-walk up the parent column to the nearest live ancestor,
-        then rebuild downwards through the LRU."""
+        then rebuild downwards through the bounded cache."""
         self.chain_walks += 1
         window = self._window
         pinned = self._pinned
@@ -501,38 +592,46 @@ class ArenaStore:
                 current = pinned.get(cursor)
             if current is None:
                 current = lru.get(cursor)
-                if current is not None:
-                    lru.move_to_end(cursor)
             if current is not None:
                 break
         events = self._events
-        lru_size = self._lru_size
         for child_id, event_index, content_hash in reversed(chain):
             current = _materialise_child(
                 current, events[event_index], content_hash
             )
             self.materialisations += 1
-            lru[child_id] = current
-            if len(lru) > lru_size:
-                lru.popitem(last=False)
+            self._remember(child_id, current)
         return current
+
+    def _remember(self, index: int, configuration: Configuration) -> None:
+        """Keep an object resident in the bounded cache."""
+        lru = self._lru
+        lru[index] = configuration
+        if len(lru) > self._lru_size:
+            lru.popitem(last=False)
 
     def __iter__(self) -> Iterator[Configuration]:
         """Stream all configurations in id order.
 
+        Resident objects (hot window, pinned roots, the bounded cache)
+        are yielded as they are, so repeated sweeps over a universe that
+        fits the cache see the same objects and their memoised views.
         BFS parent ids are non-decreasing along the id order, so one
-        rolling two-layer cache gives every child an O(1) parent lookup;
-        resident transient objects stay bounded by two BFS layers no
-        matter the universe size.
+        rolling two-layer cache gives every other child an O(1) parent
+        lookup; transient objects stay bounded by two BFS layers plus
+        the cache no matter the universe size.
         """
         cache: dict[int, Configuration] = {}
         floor = 0
         events = self._events
+        resident = (self._window.get, self._pinned.get, self._lru.get)
         for index in range(self._count):
-            parent_id, event_index, content_hash = self._entry(index)
-            if parent_id < 0:
-                current = self._pinned[index]
+            for lookup in resident:
+                current = lookup(index)
+                if current is not None:
+                    break
             else:
+                parent_id, event_index, content_hash = self._entry(index)
                 while floor < parent_id:
                     cache.pop(floor, None)
                     floor += 1
@@ -542,6 +641,8 @@ class ArenaStore:
                 current = _materialise_child(
                     parent, events[event_index], content_hash
                 )
+                self.materialisations += 1
+                self._remember(index, current)
             cache[index] = current
             yield current
 
@@ -570,8 +671,7 @@ class ArenaStore:
         ``stream`` is the saved ``(parent_id, event)`` record list in
         discovery order.  Parents arrive in non-decreasing order, so the
         hot window advances exactly as it did during live exploration —
-        resident objects stay bounded by two BFS layers instead of the
-        full-universe replica the object store instantiates.  Returns the
+        resident objects stay bounded by two BFS layers.  Returns the
         content-hash -> dense id dedup table (with collision buckets),
         ready to install on the universe.
         """

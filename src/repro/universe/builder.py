@@ -68,5 +68,6 @@ def packed_store_of(configurations, spill_dir=None):
     from repro.universe.arena import ArenaStore
 
     store = ArenaStore(spill_dir=spill_dir)
-    store.extend(configurations)
+    for configuration in configurations:
+        store.append(configuration)
     return store

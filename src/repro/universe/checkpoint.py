@@ -12,11 +12,11 @@ Design: the checkpoint does **not** store configurations or hashes.  It
 stores the *merged discovery stream* — the sequence ``[(parent_id,
 event), ...]`` of first discoveries in global BFS order — plus the CSR
 successor arrays (dense ids only) and the completeness flag.  Replaying
-the stream through the same construction path the sharded workers use
-(:class:`repro.universe.sharded._Replica`) rebuilds the configuration
-list, the content-hash id table (including collision-bucket layout) and
-the rolling entry-hash memo *exactly*, so exploration continues from the
-first unexpanded layer as if it had never stopped; the finished universe
+the stream into the arena
+(:meth:`repro.universe.arena.ArenaStore.replay`) rebuilds the packed
+columns and the content-hash id table (including collision-bucket
+layout) *exactly*, so exploration continues from the first unexpanded
+layer as if it had never stopped; the finished universe
 is bit-identical to an uninterrupted run (asserted in
 ``tests/test_universe_checkpoint.py`` and, across whole-process SIGKILLs,
 in ``tests/test_universe_chaos.py``).
@@ -86,11 +86,9 @@ is sticky: the stored exception re-raises on the next ``save``/
 makes the writer sleep *inside* the append→commit window, giving the
 chaos harness a deterministic target for SIGKILL-mid-background-write.
 
-Version 1 monolithic checkpoints are still **readable**: resuming one
-migrates it in place to the segmented format (one folded segment).
-Writing v1 is retained behind ``format="monolithic"`` for the
-controlled incremental-vs-full benchmark pair
-(``repro bench --suite fault-recovery``).
+Version 1 monolithic checkpoints are **read-only**: nothing writes them
+any more, and resuming one migrates it in place to the segmented format
+(one folded segment).
 
 The module also hosts the RSS watchdog used by ``--rss-budget``: rather
 than being OOM-killed mid-layer (losing the run *and* the checkpoint
@@ -116,7 +114,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.core.errors import UniverseError
-from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
+from repro.universe.arena import compress_batch, decompress_batch
 from repro.universe.fileops import DEFAULT_FILEOPS
 from repro.universe.recovery import RecoveryLog
 from repro.universe.retry import (
@@ -188,12 +186,11 @@ def _parse_version(raw: bytes) -> int:
 class ResumedExploration:
     """What :meth:`CheckpointSession.try_resume` hands back to an engine."""
 
-    __slots__ = ("frontier_start", "stream", "entry_hash_of", "layers")
+    __slots__ = ("frontier_start", "stream", "layers")
 
-    def __init__(self, frontier_start, stream, entry_hash_of, layers) -> None:
+    def __init__(self, frontier_start, stream, layers) -> None:
         self.frontier_start = frontier_start
         self.stream = stream
-        self.entry_hash_of = entry_hash_of
         self.layers = layers
 
 
@@ -300,22 +297,15 @@ class CheckpointSession:
     runs the exploration.  ``every`` saves once per ``every`` completed
     layers (the final state is always saved).
 
-    ``format`` selects the on-disk writer: ``"segmented"`` (default,
-    version 2 — O(delta) incremental saves) or ``"monolithic"`` (the
-    retained PR 6 full-rewrite format, kept for the controlled
-    incremental-vs-full benchmark pair).  Both resume either format;
-    resuming a v1 file with a segmented session migrates it in place.
+    Saves are segmented (version 2 — O(delta) incremental saves) and run
+    on a background writer thread.  A version-1 file resumes too and is
+    migrated in place.
 
     ``strict`` turns corrupt-tail salvage into a hard
     :class:`CheckpointError`.  ``fault_actions`` is the checkpoint slice
     of a :class:`~repro.universe.faults.FaultPlan` — ``(kind, layer,
     seconds)`` wire tuples, each fired at most once, for the
     chaos/recovery test matrix; empty in production use.
-
-    ``background`` (default on) runs segmented saves on the writer
-    thread; ``background=False`` keeps them on the calling thread — the
-    knob exists for the synchronous-cost benchmark pair and for tests
-    that need deterministic interleaving.
 
     ``fileops`` is the file-operations shim every filesystem call routes
     through (fault-injecting under chaos, passthrough otherwise);
@@ -341,10 +331,8 @@ class CheckpointSession:
         every: int = 1,
         *,
         strict: bool = False,
-        format: str = "segmented",
         compact_at: int | None = None,
         fault_actions=(),
-        background: bool = True,
         fileops=None,
         recovery_log: RecoveryLog | None = None,
         retry_policy=None,
@@ -353,17 +341,11 @@ class CheckpointSession:
             raise UniverseError(
                 f"checkpoint interval must be >= 1 layer, got {every}"
             )
-        if format not in ("segmented", "monolithic"):
-            raise UniverseError(
-                f"checkpoint format must be 'segmented' or 'monolithic', "
-                f"got {format!r}"
-            )
         self.path = Path(path)
         self.protocol = protocol
         self.max_events = max_events
         self.every = every
         self.strict = strict
-        self.format = format
         self.compact_at = (
             DEFAULT_COMPACT_SEGMENTS if compact_at is None else compact_at
         )
@@ -373,9 +355,7 @@ class CheckpointSession:
                 f"{self.compact_at}"
             )
         self.token = compatibility_token(protocol, max_events)
-        # Monolithic mode retains the cumulative stream (it rewrites the
-        # whole thing per save); segmented mode only buffers the delta.
-        self.stream: list = []
+        # Only the delta since the last save is buffered.
         self._pending_records: list = []
         self._segments: list[dict] = []
         self._generation = 0
@@ -390,7 +370,6 @@ class CheckpointSession:
         self.saves = 0
         self.save_seconds: list[float] = []
         self.writer_seconds: list[float] = []
-        self.background = background
         self._segment_index = 0
         self._writer_thread: threading.Thread | None = None
         self._writer_cv = threading.Condition()
@@ -530,8 +509,8 @@ class CheckpointSession:
             )
 
     def _resume_monolithic(self, universe, raw: bytes):
-        """Read a version-1 blob; migrate it to the segmented layout
-        when this session writes segmented."""
+        """Read a version-1 blob and migrate it to the segmented
+        layout."""
         payload = self._decode_v1(raw)
         self._check_token(payload["token"])
         stream = payload["stream"]
@@ -547,21 +526,18 @@ class CheckpointSession:
             payload["complete"],
             payload["layers"],
         )
-        if self.format == "monolithic":
-            self.stream = list(stream)
-        else:
-            # Migrate in place: one folded segment + manifest covering
-            # the restored state, so subsequent saves append deltas.
-            # ``_install`` marked everything as already saved; rewind the
-            # watermarks so the fold captures the full stream and CSR.
-            self._pending_records = list(stream)
-            self._saved_frontier = 0
-            self._saved_edges = 0
-            self._saved_layers = 0
-            self._save_segmented(payload["frontier_start"], universe)
-            # Migration must be durable before the resumed exploration
-            # starts appending deltas on top of it.
-            self.flush()
+        # Migrate in place: one folded segment + manifest covering the
+        # restored state, so subsequent saves append deltas.  ``_install``
+        # marked everything as already saved; rewind the watermarks so
+        # the fold captures the full stream and CSR.
+        self._pending_records = list(stream)
+        self._saved_frontier = 0
+        self._saved_edges = 0
+        self._saved_layers = 0
+        self._save_segmented(payload["frontier_start"], universe)
+        # Migration must be durable before the resumed exploration starts
+        # appending deltas on top of it.
+        self.flush()
         return resumed
 
     def _resume_segmented(self, universe, raw: bytes):
@@ -665,12 +641,11 @@ class CheckpointSession:
     ) -> ResumedExploration:
         """Rebuild ``universe``'s stores from a verified stream + CSR.
 
-        Replays the stream through the exact construction path the
-        sharded replicas use, so the rebuilt state is bit-identical.
-        Under the arena store the replay goes straight into the packed
-        columns (:meth:`~repro.universe.arena.ArenaStore.replay`) — the
+        The replay goes straight into the packed columns
+        (:meth:`~repro.universe.arena.ArenaStore.replay`), recomputing
+        every content hash, so the rebuilt state is bit-identical; the
         hot window advances with the stream, so resume memory stays
-        O(two layers) instead of a full object replica.
+        O(two layers).
         """
         if len(offsets) != frontier_start + 1:
             raise CheckpointError(
@@ -678,32 +653,13 @@ class CheckpointSession:
                 f"offsets for a frontier at {frontier_start}"
             )
         configurations = universe._configurations
-        if isinstance(configurations, ArenaStore):
-            ids_by_hash = configurations.replay(stream)
-            if len(configurations) != count:
-                raise CheckpointError(
-                    f"checkpoint {self.path} replay desync: rebuilt "
-                    f"{len(configurations)} configurations, file "
-                    f"records {count}"
-                )
-            # The kernel's entry memo recomputes on miss, so an empty
-            # memo is correct (the arena evicted the cold histories).
-            entry_hash_of: dict[int, int] = {}
-        else:
-            from repro.universe.sharded import _Replica
-
-            replica = _Replica(self.protocol, self.max_events)
-            replica.apply(stream)
-            if len(replica.configurations) != count:
-                raise CheckpointError(
-                    f"checkpoint {self.path} replay desync: rebuilt "
-                    f"{len(replica.configurations)} configurations, file "
-                    f"records {count}"
-                )
-            configurations.clear()
-            configurations.extend(replica.configurations)
-            entry_hash_of = replica.entry_hash_of
-            ids_by_hash = replica.ids_by_hash
+        ids_by_hash = configurations.replay(stream)
+        if len(configurations) != count:
+            raise CheckpointError(
+                f"checkpoint {self.path} replay desync: rebuilt "
+                f"{len(configurations)} configurations, file "
+                f"records {count}"
+            )
         universe._ids_by_hash.clear()
         universe._ids_by_hash.update(ids_by_hash)
         del universe._succ_ids[:]
@@ -718,7 +674,7 @@ class CheckpointSession:
         self._saved_count = count
         self._complete_at_save = complete
         self.resumed_from = frontier_start
-        return ResumedExploration(frontier_start, stream, entry_hash_of, layers)
+        return ResumedExploration(frontier_start, stream, layers)
 
     # -- commit --------------------------------------------------------
     def commit_layer(
@@ -741,11 +697,11 @@ class CheckpointSession:
             self.save(frontier_start, universe, final=final)
 
     def save(self, frontier_start: int, universe, final: bool = False) -> None:
-        """Persist the state up to ``frontier_start`` (format-dispatch).
+        """Persist the state up to ``frontier_start``.
 
-        Segmented saves hand the delta to the background writer and
-        return; the ``final`` save additionally :meth:`flush`\\ es so a
-        finished exploration never returns with uncommitted state.
+        The delta goes to the background writer and ``save`` returns;
+        the ``final`` save additionally :meth:`flush`\\ es so a finished
+        exploration never returns with uncommitted state.
 
         A degraded session no-ops; a storage-classified failure on the
         synchronous paths degrades the session here (the background
@@ -756,12 +712,9 @@ class CheckpointSession:
             return
         start = time.perf_counter()
         try:
-            if self.format == "monolithic":
-                self._save_monolithic(frontier_start, universe)
-            else:
-                self._save_segmented(frontier_start, universe)
-                if final:
-                    self.flush()
+            self._save_segmented(frontier_start, universe)
+            if final:
+                self.flush()
         except Exception as error:
             if classify_storage_error(error) is None:
                 raise
@@ -810,10 +763,7 @@ class CheckpointSession:
         self._saved_layers = self.layers
         self._complete_at_save = job["complete"]
         self._pending_records = []
-        if self.background:
-            self._enqueue(job)
-        else:
-            self._write_segment_job(job)
+        self._enqueue(job)
         if self._segment_index > self.compact_at:
             self.flush()
             self._compact(universe)
@@ -825,10 +775,10 @@ class CheckpointSession:
         this layer boundary's own (or a later) filesystem operation —
         never retroactively on a still-queued earlier save, whose
         manifest must stay committable.  Returns ``False`` when the
-        session cannot order the arming (foreground writes, monolithic
-        format, degraded, or an idle drained writer — all of which make
-        the caller's direct arming already ordered)."""
-        if self.degraded or self.format != "segmented" or not self.background:
+        session cannot order the arming (degraded, or an idle drained
+        writer — both of which make the caller's direct arming already
+        ordered)."""
+        if self.degraded:
             return False
         with self._writer_cv:
             if self._writer_thread is None and not self._writer_queue:
@@ -913,8 +863,7 @@ class CheckpointSession:
             raise error
 
     def _write_segment_job(self, job: dict) -> None:
-        """Compress, append, and commit one segment (writer thread, or
-        the calling thread when ``background=False``)."""
+        """Compress, append, and commit one segment (writer thread)."""
         arm = job.get("arm")
         if arm is not None:
             # Queue-ordered fault arming marker, not a segment: every
@@ -1093,35 +1042,6 @@ class CheckpointSession:
                 self._fileops.unlink(self.path.with_name(old))
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-
-    # -- monolithic (v1) writer ----------------------------------------
-    def _save_monolithic(self, frontier_start: int, universe) -> None:
-        """The retained PR 6 full-rewrite save: one blob, O(stream)."""
-        self.stream.extend(self._pending_records)
-        self._pending_records = []
-        payload = {
-            "token": (1,) + self.token[1:],
-            "stream": self.stream,
-            "count": len(universe._configurations),
-            "frontier_start": frontier_start,
-            "succ_ids": universe._succ_ids.tobytes(),
-            "succ_offsets": universe._succ_offsets.tobytes(),
-            "complete": universe._complete,
-            "layers": self.layers,
-        }
-        blob = CHECKPOINT_MAGIC + compress_batch(payload)
-        temp = self.path.with_name(self.path.name + ".tmp")
-
-        def commit() -> None:
-            self._fileops.write_durable(temp, blob)
-            self._fileops.replace(temp, self.path)
-
-        retry_io(
-            "monolithic save",
-            commit,
-            policy=self._retry,
-            on_retry=self._log_retry,
-        )
 
     # -- decoding ------------------------------------------------------
     @staticmethod

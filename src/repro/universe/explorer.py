@@ -20,11 +20,13 @@ When a bound is hit the universe is a sound under-approximation and
 incomplete universes unless explicitly told otherwise.
 
 Every configuration receives a *dense integer id* (its BFS discovery
-index).  Successor lists are stored as id arrays and projection indexes
-map each ``[P]``-projection key to an **int bitmask** over ids, so set
-algebra over the universe (knowledge extensions, class containment,
-fixpoints) runs as single bitwise operations on Python ints — see
-PERFORMANCE.md for the architecture.
+index) in the packed arena store (:mod:`repro.universe.arena`), the
+universe's only configuration store.  Successor lists are stored as id
+arrays; ``[P]``-partitions are keyed on per-process local-state id
+columns derived from the arena on first use, and each class is an
+**int bitmask** over ids, so set algebra over the universe (knowledge
+extensions, class containment, fixpoints) runs as single bitwise
+operations on Python ints — see PERFORMANCE.md for the architecture.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from __future__ import annotations
 import gc
 import os
 import sys
+import warnings
 import zlib
 from math import inf
 from array import array
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.configuration import (
@@ -53,10 +56,6 @@ from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
 from repro.universe.options import UNSET, ExplorationOptions, resolve_options
 from repro.universe.recovery import RecoveryLog
 from repro.universe.protocol import Protocol
-
-ProjectionKey = tuple
-"""Canonical key identifying a ``[P]``-class (see Configuration.projection)."""
-
 
 _BYTE_BITS = tuple(
     tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
@@ -153,7 +152,6 @@ class PartitionTable:
         "num_classes",
         "class_of",
         "members",
-        "key_to_class",
         "sparse",
         "_masks",
         "_compose_memo",
@@ -165,22 +163,34 @@ class PartitionTable:
 
     def __init__(
         self,
-        size: int,
-        buckets: dict[ProjectionKey, list[int]],
+        class_of: Sequence[int],
+        num_classes: int,
         sparse: bool | None = None,
     ) -> None:
+        """``class_of[config_id]`` is the class index of every dense id,
+        labelled in first-occurrence order (the canonical labelling every
+        builder produces, see :attr:`fingerprint`); ``num_classes`` is
+        the number of labels."""
+        if isinstance(class_of, array) and class_of.typecode == "I":
+            # uint32 local-state columns hold labels below 2**31.
+            class_of = array("i", class_of.tobytes())
+        elif not (isinstance(class_of, array) and class_of.typecode == "i"):
+            class_of = array("i", class_of)
+        size = len(class_of)
         self.size = size
-        self.num_classes = len(buckets)
-        self.key_to_class: dict[ProjectionKey, int] = {}
-        class_of = array("i", bytes(4 * size))
-        members: list[array] = []
-        for index, (key, ids) in enumerate(buckets.items()):
-            self.key_to_class[key] = index
-            row = array("i", ids)
-            members.append(row)
-            for config_id in ids:
-                class_of[config_id] = index
+        self.num_classes = num_classes
         self.class_of = class_of
+        # Members: one stable C-level sort of the ids by class, cut at
+        # the class boundaries — ids stay ascending within each class.
+        labels = class_of.tolist()
+        order = array("i", sorted(range(size), key=labels.__getitem__))
+        counts = Counter(labels)
+        members: list[array] = []
+        start = 0
+        for index in range(num_classes):
+            end = start + counts[index]
+            members.append(order[start:end])
+            start = end
         self.members = tuple(members)
         if sparse is None:
             words = (size + 63) >> 6
@@ -192,6 +202,17 @@ class PartitionTable:
         self._sparse_memo_words = 0
         self._fingerprint: tuple[int, int, int] | None = None
         self._consistent: bool | None = None
+
+    @classmethod
+    def from_keys(
+        cls, keys: Iterable[object], sparse: bool | None = None
+    ) -> "PartitionTable":
+        """The partition of dense ids by ``keys`` (one hashable key per
+        id, in id order), classes labelled in first-occurrence order."""
+        labels: dict[object, int] = {}
+        label = labels.setdefault
+        class_of = array("i", [label(key, len(labels)) for key in keys])
+        return cls(class_of, len(labels), sparse)
 
     # -- mask materialisation ------------------------------------------
     def _mask_of_ids(self, ids: Sequence[int]) -> int:
@@ -375,9 +396,6 @@ _BOUND_MESSAGE = (
     "the protocol"
 )
 
-_EMPTY_ENTRY_MEMO: dict[int, int] = {}
-"""Permanent previous-generation entry-hash memo of the object store."""
-
 
 class Universe:
     """All reachable configurations of a protocol, with isomorphism indexes.
@@ -420,10 +438,6 @@ class Universe:
         Refuse to salvage a damaged checkpoint: raise
         :class:`~repro.universe.checkpoint.CheckpointError` instead of
         truncating to the valid prefix.
-    checkpoint_format:
-        ``"segmented"`` (default) or ``"monolithic"`` (the PR 6
-        full-rewrite format, retained for the controlled
-        incremental-vs-full benchmark pair).
     rss_budget_mb:
         Optional resident-memory budget (MiB, coordinator plus live
         workers).  When exploration crosses it at a layer boundary it
@@ -442,17 +456,17 @@ class Universe:
         the coordinator's heartbeat/respawn tunables; ``workers >= 2``
         only.
     store:
-        Configuration storage backend.  ``"objects"`` (default) keeps
-        every configuration as a live Python object; ``"arena"`` keeps
-        packed ``(parent id, event, hash)`` columns
-        (:class:`~repro.universe.arena.ArenaStore`) and materialises
-        objects lazily — same dense ids, CSR arrays and hash buckets,
-        at a fraction of the resident memory.
+        Accepted for compatibility and ignored: configurations always
+        live in the packed arena
+        (:class:`~repro.universe.arena.ArenaStore`: ``(parent id, event,
+        hash)`` columns, objects materialised lazily).  ``"arena"`` is a
+        silent no-op, ``"objects"`` warns with a ``DeprecationWarning``,
+        and any other value is rejected.
     spill_dir:
-        Directory for the arena's on-disk cold tier (``store="arena"``
-        only): sealed cold chunks stream to an mmap-backed spill file
-        there as layers retire, and the ``rss_budget_mb`` watchdog
-        force-spills before it ever truncates.
+        Directory for the arena's on-disk cold tier: sealed cold chunks
+        stream to an mmap-backed spill file there as layers retire, and
+        the ``rss_budget_mb`` watchdog force-spills before it ever
+        truncates.
     options:
         The grouped form of everything above
         (:class:`~repro.universe.options.ExplorationOptions`, bundling
@@ -477,7 +491,6 @@ class Universe:
         checkpoint=UNSET,
         checkpoint_every=UNSET,
         checkpoint_strict=UNSET,
-        checkpoint_format=UNSET,
         rss_budget_mb=UNSET,
         fault_plan=UNSET,
         supervision=UNSET,
@@ -495,7 +508,6 @@ class Universe:
                 "checkpoint": checkpoint,
                 "checkpoint_every": checkpoint_every,
                 "checkpoint_strict": checkpoint_strict,
-                "checkpoint_format": checkpoint_format,
                 "rss_budget_mb": rss_budget_mb,
                 "fault_plan": fault_plan,
                 "supervision": supervision,
@@ -513,17 +525,21 @@ class Universe:
         checkpoint = opts.checkpoint.path
         rss_budget_mb = opts.budget.rss_budget_mb
         spill_dir = opts.budget.spill_dir
-        store = opts.store
         if on_limit not in ("raise", "truncate"):
             raise UniverseError(
                 f"on_limit must be 'raise' or 'truncate', got {on_limit!r}"
             )
-        if store not in ("objects", "arena"):
+        if opts.store not in ("objects", "arena"):
             raise UniverseError(
-                f"store must be 'objects' or 'arena', got {store!r}"
+                f"store must be 'objects' or 'arena', got {opts.store!r}"
             )
-        if spill_dir is not None and store != "arena":
-            raise UniverseError("spill_dir requires store='arena'")
+        if opts.store == "objects":
+            warnings.warn(
+                "store='objects' is deprecated and ignored: configurations "
+                "always live in the arena store",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self._protocol = protocol
         self._max_events = max_events
         self._recovery_log = RecoveryLog()
@@ -546,16 +562,11 @@ class Universe:
                 self._storage_faults.setdefault(layer, []).append(
                     (kind, seconds)
                 )
-        if store == "arena":
-            self._configurations: list[Configuration] | ArenaStore = (
-                ArenaStore(
-                    spill_dir=spill_dir,
-                    fileops=self._fileops,
-                    recovery_log=self._recovery_log,
-                )
-            )
-        else:
-            self._configurations = []
+        self._configurations = ArenaStore(
+            spill_dir=spill_dir,
+            fileops=self._fileops,
+            recovery_log=self._recovery_log,
+        )
         # Content hash -> dense id (or list of ids on hash collision).
         # This is both the BFS dedup table and, after exploration, the
         # public configuration -> id index: one table, no second
@@ -616,7 +627,6 @@ class Universe:
                 max_events,
                 every=opts.checkpoint.every,
                 strict=opts.checkpoint.strict,
-                format=opts.checkpoint.format,
                 fault_actions=(
                     fault_plan.take_checkpoint_faults()
                     if fault_plan is not None
@@ -643,7 +653,7 @@ class Universe:
                     rss_budget_mb=rss_budget_mb,
                 )
             else:
-                self._explore(
+                self._explore_packed(
                     max_configurations,
                     on_limit,
                     session=session,
@@ -658,6 +668,7 @@ class Universe:
                 session.flush()
 
     def _init_relation_caches(self) -> None:
+        self._local_state_columns: dict[ProcessId, array] | None = None
         self._partition_tables: dict[frozenset[ProcessId], PartitionTable] = {}
         self._adjacency: dict[
             tuple[frozenset[ProcessId], frozenset[ProcessId]],
@@ -683,307 +694,6 @@ class Universe:
             tuple[frozenset[ProcessId], ...], tuple
         ] = {}
 
-    def _explore(
-        self,
-        max_configurations: int | None,
-        on_limit: str,
-        session=None,
-        rss_budget_mb: float | None = None,
-    ) -> None:
-        """The frontier-batched exploration kernel.
-
-        The BFS works over *append-only id buffers*: `configurations` is
-        the discovery-ordered buffer, the cursor walks it one frontier
-        batch at a time, and successors append to the flat CSR arrays.
-        Per popped configuration the enabled events are table lookups —
-        compiled local steps plus the memoised receive set — and each
-        candidate child is resolved against the local content-hash table
-        via :meth:`Configuration._extension_parts` (O(1) child hash, no
-        intern-registry round-trip, construction only on first
-        discovery).  Projection/partition indexes are built lazily after
-        exploration, never incrementally inside this loop.
-        """
-        configurations = self._configurations
-        if isinstance(configurations, ArenaStore):
-            # The arena runs its own kernel over packed window rows —
-            # no child objects at all; see :meth:`_explore_packed`.
-            return self._explore_packed(
-                max_configurations,
-                on_limit,
-                session=session,
-                rss_budget_mb=rss_budget_mb,
-            )
-        lookup = configurations.__getitem__
-        ids_by_hash = self._ids_by_hash
-        succ_ids = self._succ_ids
-        succ_offsets = self._succ_offsets
-        protocol = self._protocol
-        max_events = self._max_events
-        bound_error: str | None = None
-
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = protocol.ordered_processes
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        # Processes absent from a configuration all share one compiled
-        # entry: their local steps after the empty history.
-        initial_steps = {
-            process: steps_for(process, ()) for process in ordered
-        }
-        # math.inf compares greater than every count, so `count >= limit`
-        # is the single bound test; non-positive bounds fire on the first
-        # discovered child, like the pre-CSR explorer.
-        limit = max_configurations if max_configurations is not None else inf
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        seed_of = {
-            process: hash(process) % modulus for process in ordered
-        }
-        # Rolling entry hashes, keyed by history-tuple *identity*: the
-        # tuples are pinned alive by the configurations list for the whole
-        # exploration, every child shares its unchanged histories with its
-        # parent, and the kernel creates exactly one tuple per discovered
-        # child — so this one memo replaces the per-child entry-hash dict
-        # copy (and its ~360 bytes/configuration) entirely.  The object
-        # store pins every tuple forever, so the memo never rotates and
-        # the previous generation stays the shared empty dict.  (The
-        # packed kernel evicts tuples and must rotate — see
-        # :meth:`_explore_packed`.)
-        entry_hash_of: dict[int, int] = {}
-        entry_prev_get = _EMPTY_ENTRY_MEMO.get
-        from_trusted = Configuration._from_trusted
-
-        watchdog = None
-        if rss_budget_mb is not None:
-            from repro.universe.checkpoint import RssWatchdog
-
-            watchdog = RssWatchdog(rss_budget_mb)
-        self._rss_watchdog = watchdog
-        resumed = session.try_resume(self) if session is not None else None
-        if resumed is not None:
-            # try_resume rebuilt the stores in place; adopt its state and
-            # continue from the first unexpanded layer.
-            entry_hash_of = resumed.entry_hash_of
-            count = len(configurations)
-            edges = len(succ_ids)
-            cursor = resumed.frontier_start
-        else:
-            configurations.append(EMPTY_CONFIGURATION)
-            ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
-            count = 1  # == len(configurations), maintained locally
-            edges = 0  # == len(succ_ids)
-            cursor = 0
-        entry_memo_get = entry_hash_of.get
-        track = session is not None
-        layers_done = resumed.layers if resumed is not None else 0
-        self._arm_storage_faults(layers_done)
-        rss_truncated = False
-        # The kernel allocates millions of acyclic, long-lived objects and
-        # creates no reference cycles of its own; CPython's generational
-        # collector would rescan the growing universe on every threshold
-        # crossing — a superlinear tax that dominated n=8 exploration.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while cursor < count:
-                batch_end = count  # one BFS frontier batch
-                layer_records = [] if track else None
-                while cursor < batch_end:
-                    current = lookup(cursor)
-                    cursor += 1
-                    if max_events is not None and len(current) >= max_events:
-                        if compiled_enabled(current):
-                            self._complete = False
-                        succ_offsets.append(edges)
-                        continue
-                    parent_histories = current._histories
-                    history_of = parent_histories.get
-                    if custom_enabling:
-                        # The protocol restricts system-level enabling
-                        # beyond local steps + willing receives; its
-                        # override is authoritative.
-                        enabled = list(protocol.enabled_events(current))
-                    else:
-                        enabled = []
-                        for process in ordered:
-                            history = history_of(process)
-                            if history is None:
-                                enabled += initial_steps[process]
-                            else:
-                                steps = by_history[process].get(history)
-                                enabled += (
-                                    steps
-                                    if steps is not None
-                                    else steps_for(process, history)
-                                )
-                        in_flight = current.in_flight_messages
-                        if in_flight:
-                            if not selective:
-                                enabled += receive_sets(in_flight)
-                            else:
-                                enabled += selective_receives(
-                                    history_of, in_flight
-                                )
-                        if enabling_filter is not None:
-                            # Declarative system-level restriction on top
-                            # of the compiled local steps + receives —
-                            # the hook that keeps filter-only protocols
-                            # on this fast path.
-                            enabled = enabling_filter(current, enabled)
-                    # Inlined Configuration._extension_parts, with the
-                    # parent's content hash loop-invariant across this
-                    # configuration's edges and rolling entry hashes read
-                    # from the history-identity memo.
-                    parent_hash = current._hash
-                    if parent_hash is None:
-                        parent_hash = hash(current)
-                    matches = current._matches_extension
-                    propagate = current._propagate_caches
-                    for event in enabled:
-                        process = event.process
-                        try:
-                            event_hash = event._hash_cache
-                        except AttributeError:
-                            event_hash = hash(event)
-                        old_history = history_of(process)
-                        if old_history is None:
-                            new_history = (event,)
-                            new_entry = (
-                                seed_of[process] * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (parent_hash + new_entry) % modulus
-                        else:
-                            key = id(old_history)
-                            old_entry = entry_memo_get(key)
-                            if old_entry is None:
-                                old_entry = entry_prev_get(key)
-                                if old_entry is None:
-                                    old_entry = _entry_hash(
-                                        process, old_history
-                                    )
-                                entry_hash_of[key] = old_entry
-                            new_history = old_history + (event,)
-                            new_entry = (
-                                old_entry * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (
-                                parent_hash - old_entry + new_entry
-                            ) % modulus
-                        existing = ids_by_hash.get(child_hash)
-                        if existing is None:
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                        elif type(existing) is int:
-                            if matches(
-                                lookup(existing), process, new_history
-                            ):
-                                succ_ids.append(existing)
-                                edges += 1
-                                continue
-                            # content-hash collision: open the bucket
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                            ids_by_hash[child_hash] = [existing, child_id]
-                        else:
-                            for candidate_id in existing:
-                                if matches(
-                                    lookup(candidate_id),
-                                    process,
-                                    new_history,
-                                ):
-                                    child_id = candidate_id
-                                    break
-                            else:
-                                if count >= limit:
-                                    bound_error = (
-                                        _BOUND_MESSAGE % max_configurations
-                                    )
-                                    break
-                                child_id = count
-                                existing.append(child_id)
-                            if child_id != count:
-                                succ_ids.append(child_id)
-                                edges += 1
-                                continue
-                        # First discovery: build the child without a
-                        # per-child entry-hash dict (lazy recompute path).
-                        if existing is None:
-                            ids_by_hash[child_hash] = child_id
-                        count += 1
-                        entry_hash_of[id(new_history)] = new_entry
-                        if old_history is not None:
-                            items = dict(parent_histories)
-                            items[process] = new_history
-                        else:
-                            items = {}
-                            placed = False
-                            for existing_process, history in (
-                                parent_histories.items()
-                            ):
-                                if not placed and process < existing_process:
-                                    items[process] = new_history
-                                    placed = True
-                                items[existing_process] = history
-                            if not placed:
-                                items[process] = new_history
-                        child = from_trusted(items, child_hash, None)
-                        propagate(child, event)
-                        configurations.append(child)
-                        succ_ids.append(child_id)
-                        edges += 1
-                        if track:
-                            layer_records.append((cursor - 1, event))
-                    succ_offsets.append(edges)
-                    if bound_error is not None:
-                        break
-                if bound_error is not None:
-                    # Mid-layer stop: the checkpoint keeps the previous
-                    # (complete) layer boundary, never a torn layer.
-                    break
-                layers_done += 1
-                self._arm_storage_faults(layers_done)
-                if track:
-                    session.commit_layer(
-                        layer_records,
-                        batch_end,
-                        self,
-                        final=cursor >= count,
-                    )
-                if watchdog is not None and cursor < count and watchdog.exceeded():
-                    # The object store has no cold tier to spill; truncate
-                    # is the only rung of the degradation ladder here.
-                    self._recovery_log.record(
-                        "rss_budget",
-                        "truncate",
-                        detail=f"{count} configurations",
-                    )
-                    rss_truncated = True
-                    break
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        if bound_error is not None and on_limit == "raise":
-            raise UniverseError(bound_error)
-        if bound_error is not None or rss_truncated:
-            self._complete = False
-            # Unexpanded frontier configurations keep empty successor rows.
-            while len(succ_offsets) < len(configurations) + 1:
-                succ_offsets.append(len(succ_ids))
-
     def _explore_packed(
         self,
         max_configurations: int | None,
@@ -991,14 +701,19 @@ class Universe:
         session=None,
         rss_budget_mb: float | None = None,
     ) -> None:
-        """The arena kernel: frontier BFS over *packed window rows*.
+        """The exploration kernel: frontier BFS over *packed window rows*.
 
-        Mirror of :meth:`_explore` for the arena store.  The object
-        kernel keeps two full layers of ``Configuration`` objects alive
-        — frontier plus the layer under construction — and at star n=8
-        that window peaks at ~474k objects of ~1.1 KB each, dominating
-        peak RSS.  This kernel never builds child objects at all.  A
-        window entry is the 4-tuple
+        The BFS works over append-only id buffers: the arena receives one
+        ``(parent id, event, hash)`` row per first discovery, the cursor
+        walks the ids one frontier batch at a time, and successors append
+        to the flat CSR arrays.  Per popped parent the enabled events are
+        table lookups — compiled local steps plus the memoised receive
+        set — and each candidate child is resolved against the
+        content-hash table with O(1) rolling hashes.  Keeping whole
+        layers of ``Configuration`` objects alive would dominate peak RSS
+        (at star n=8 two layers are ~474k objects of ~1.1 KB each), so
+        this kernel never builds child objects at all.  A window entry
+        is the 4-tuple
 
             ``(row, content_hash, received, in_flight)``
 
@@ -1020,12 +735,13 @@ class Universe:
         and any tuple that reuses a freed address was itself a freshly
         discovered child's ``new_history``, whose memo entry is
         overwritten at creation.  The memo still rotates generations at
-        layer boundaries exactly like the old arena path.
+        layer boundaries.  Projection/partition indexes are built lazily
+        after exploration, never inside this loop.
 
-        Keep the dedup/bounds/checkpoint semantics in lockstep with
-        :meth:`_explore`: the suite in ``tests/test_universe_arena.py``
-        holds the two kernels bit-identical (ids, CSR arrays, hash
-        buckets) on every bundled protocol and both engines.
+        ``tests/test_universe_oracle.py`` holds the kernel bit-identical
+        (ids, successor rows, completeness) to a naive ``enabled_events``
+        BFS on every bundled protocol, both engines and every resume
+        layer.
         """
         arena: ArenaStore = self._configurations
         ids_by_hash = self._ids_by_hash
@@ -1061,7 +777,7 @@ class Universe:
             process: hash(process) % modulus for process in ordered
         }
         entry_hash_of: dict[int, int] = {}
-        entry_prev_get = _EMPTY_ENTRY_MEMO.get
+        entry_prev_get = {}.get
         from_trusted = Configuration._from_trusted
         # Per-layer frozenset intern table: channel contents repeat
         # heavily across siblings, so the per-child ``received`` /
@@ -1132,7 +848,6 @@ class Universe:
             # rebuild the kernel's row window for the open frontier and
             # continue from the first unexpanded layer.  (The entry memo
             # resumes empty and recomputes on miss.)
-            entry_hash_of = resumed.entry_hash_of
             count = len(arena)
             edges = len(succ_ids)
             cursor = resumed.frontier_start
@@ -1168,8 +883,10 @@ class Universe:
         layers_done = resumed.layers if resumed is not None else 0
         self._arm_storage_faults(layers_done)
         rss_truncated = False
-        # Same GC stance as the object kernel: acyclic long-lived data,
-        # no cycles of our own — stop the generational rescans.
+        # The kernel allocates millions of acyclic, long-lived objects and
+        # creates no reference cycles of its own; CPython's generational
+        # collector would rescan the growing universe on every threshold
+        # crossing — a superlinear tax that dominated n=8 exploration.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -1577,8 +1294,7 @@ class Universe:
 
     def configurations_in_mask(self, mask: int) -> tuple[Configuration, ...]:
         """The configurations whose ids are set in ``mask``, in id order."""
-        configurations = self._configurations
-        return tuple(configurations[index] for index in iter_bit_ids(mask))
+        return self._configurations.select(list(iter_bit_ids(mask)))
 
     # ------------------------------------------------------------------
     # Isomorphism machinery
@@ -1586,47 +1302,52 @@ class Universe:
     def partition_table(self, processes: ProcessSetLike) -> PartitionTable:
         """The ``[P]``-partition of the universe as a :class:`PartitionTable`.
 
-        Tables are computed once per process set and cached; they are the
+        ``x [P] y`` iff every process of ``P`` has the same local history
+        in ``x`` and ``y``, so ``[P]`` is keyed by the tuple of ``P``'s
+        local-state id columns (:meth:`_local_states`): a singleton
+        table *is* its column, already labelled canonically.  Tables
+        are computed once per process set and cached; they are the
         engine behind ``iso_class``, composed-relation pipelines, the
         property checkers, and the knowledge evaluator.
         """
         p_set = as_process_set(processes)
         table = self._partition_tables.get(p_set)
         if table is None:
-            buckets: dict[ProjectionKey, list[int]] = {}
-            if len(p_set) == 1:
-                # Single-process classes are keyed by the history tuple
-                # itself — no projection tuple to build.  This is the hot
-                # shape: the common-knowledge fixpoint and most ``knows``
-                # queries partition by singletons.
-                (process,) = p_set
-                for config_id, configuration in enumerate(self._configurations):
-                    key = configuration._histories.get(process, ())
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [config_id]
-                    else:
-                        bucket.append(config_id)
+            columns = [self._local_state_column(p) for p in sorted(p_set)]
+            if len(columns) == 1:
+                # This is the hot shape: the common-knowledge fixpoint and
+                # most ``knows`` queries partition by singletons.
+                (column,) = columns
+                table = PartitionTable(column, max(column, default=-1) + 1)
+            elif columns:
+                table = PartitionTable.from_keys(zip(*columns))
             else:
-                # Multi-process classes are keyed by the tuple of
-                # per-process histories in sorted process order — the
-                # same equivalence as `Configuration.projection` for a
-                # fixed process set, without building (and memoising) a
-                # (process, history)-pair tuple per configuration.
-                ordered_p = tuple(sorted(p_set))
-                for config_id, configuration in enumerate(self._configurations):
-                    histories = configuration._histories
-                    key = tuple(
-                        histories.get(process, ()) for process in ordered_p
-                    )
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [config_id]
-                    else:
-                        bucket.append(config_id)
-            table = PartitionTable(len(self._configurations), buckets)
+                size = len(self._configurations)
+                table = PartitionTable(array("i", bytes(4 * size)), min(size, 1))
             self._partition_tables[p_set] = table
         return table
+
+    def _local_states(self) -> dict[ProcessId, array]:
+        """One local-state id column per process, built on first use.
+
+        Derived from the arena's ``(parent id, event)`` columns
+        (:meth:`~repro.universe.arena.ArenaStore.local_state_columns`);
+        exploration-only runs never pay for it.
+        """
+        columns = self._local_state_columns
+        if columns is None:
+            columns = self._configurations.local_state_columns(
+                sorted(self.processes)
+            )
+            self._local_state_columns = columns
+        return columns
+
+    def _local_state_column(self, process: ProcessId) -> array:
+        column = self._local_states().get(process)
+        if column is None:
+            # A process with no column never acts: one empty history.
+            column = array("I", bytes(4 * len(self._configurations)))
+        return column
 
     def class_masks(self, processes: ProcessSetLike) -> tuple[int, ...]:
         """One bitmask per ``[P]``-class of the universe.
@@ -1689,23 +1410,12 @@ class Universe:
                 return table, pairs
         p_of = p_table.class_of
         q_of = q_table.class_of
-        width = q_table.num_classes
-        labels: dict[int, int] = {}
-        buckets: list[list[int]] = []
-        pair_keys: list[int] = []
-        for config_id in range(len(self._configurations)):
-            pair = p_of[config_id] * width + q_of[config_id]
-            label = labels.get(pair)
-            if label is None:
-                label = len(buckets)
-                labels[pair] = label
-                buckets.append([])
-                pair_keys.append(pair)
-            buckets[label].append(config_id)
-        pairs = [divmod(pair, width) for pair in pair_keys]
-        table = PartitionTable(
-            len(self._configurations), dict(zip(pairs, buckets))
-        )
+        table = PartitionTable.from_keys(zip(p_of, q_of))
+        # Labels are first-occurrence ordered, so the first member of
+        # each refinement class carries its (P-class, Q-class) pair.
+        pairs = [
+            (p_of[ids[0]], q_of[ids[0]]) for ids in table.members
+        ]
         self._refinement_products[key] = (p_set, table, pairs)
         self._refinement_by_fp[fp_key] = (p_of, q_of, table, pairs)
         return table, pairs
@@ -1765,18 +1475,8 @@ class Universe:
         self, configuration: Configuration, processes: ProcessSetLike
     ) -> int:
         """Bitmask of the ``[P]``-class of ``configuration``."""
-        self.require(configuration)
-        p_set = as_process_set(processes)
-        table = self.partition_table(p_set)
-        if len(p_set) == 1:
-            (process,) = p_set
-            key: ProjectionKey = configuration.history(process)
-        else:
-            histories = configuration._histories
-            key = tuple(
-                histories.get(process, ()) for process in sorted(p_set)
-            )
-        return table.class_mask(table.key_to_class[key])
+        table = self.partition_table(processes)
+        return table.class_mask(table.class_of[self.config_id(configuration)])
 
     def iso_class_index(
         self, configuration: Configuration, processes: ProcessSetLike
@@ -1825,23 +1525,15 @@ class Universe:
                         yield smaller, larger
 
     def events(self) -> frozenset[Event]:
-        """Every event occurring anywhere in the universe."""
-        found: set[Event] = set()
-        for configuration in self._configurations:
-            found.update(configuration.events())
-        return frozenset(found)
+        """Every event occurring anywhere in the universe — the arena's
+        interned event table (every history event was some child's
+        discovery event)."""
+        return frozenset(self._configurations.events())
 
     @property
     def active_processes(self) -> frozenset[ProcessId]:
         """Processes with at least one event somewhere in the universe."""
-        cached = getattr(self, "_active_processes", None)
-        if cached is None:
-            active: set[ProcessId] = set()
-            for configuration in self._configurations:
-                active.update(configuration._histories)
-            cached = frozenset(active)
-            self._active_processes = cached
-        return cached
+        return frozenset(event.process for event in self.events())
 
 
 def _consistent_cuts_exhaustive(
@@ -1947,7 +1639,6 @@ class EnumeratedUniverse(Universe):
         closure.sort(key=len)
         self._protocol = None  # type: ignore[assignment]
         self._max_events = None
-        self._configurations = closure
         self._ids_by_hash = {}
         for index, configuration in enumerate(closure):
             content_hash = hash(configuration)
@@ -1964,17 +1655,38 @@ class EnumeratedUniverse(Universe):
         # Successors: one-event extensions within the closure, stored in
         # the same CSR layout as explored universes.  Bucket the
         # candidates by event count so each configuration is only
-        # compared against the next layer.
+        # compared against the next layer.  The first predecessor found
+        # for each member is its parent in the arena.
         by_count: dict[int, list[int]] = {}
         for index, configuration in enumerate(closure):
             by_count.setdefault(len(configuration), []).append(index)
         self._succ_offsets = array("q", (0,))
         self._succ_ids = array("q")
-        for configuration in closure:
+        parent_of: dict[int, int] = {}
+        for index, configuration in enumerate(closure):
             for candidate in by_count.get(len(configuration) + 1, ()):
                 if configuration.is_sub_configuration_of(closure[candidate]):
                     self._succ_ids.append(candidate)
+                    parent_of.setdefault(candidate, index)
             self._succ_offsets.append(len(self._succ_ids))
+        # The closure is recorded in the explorer's store: the empty
+        # configuration is the root and every other member is the child
+        # of a one-event-smaller member, so analysis derives its
+        # local-state columns exactly as for an explored universe.
+        store = ArenaStore()
+        for index, configuration in enumerate(closure):
+            if index == 0:
+                store.append(configuration)
+                continue
+            parent = closure[parent_of[index]]
+            for process, history in configuration._histories.items():
+                if len(history) != len(parent.history(process)):
+                    event = history[-1]
+                    break
+            store.append_child(
+                parent_of[index], event, hash(configuration), configuration
+            )
+        self._configurations = store
 
     @property
     def protocol(self) -> Protocol:  # type: ignore[override]

@@ -1,17 +1,20 @@
 """Grouped exploration options for :class:`repro.universe.Universe`.
 
-The ``Universe`` constructor grew thirteen keyword arguments across the
-scaling PRs (limits, checkpointing, resource budgets, sharding, store
-selection).  This module groups them into four frozen dataclasses plus a
-top-level :class:`ExplorationOptions` bundle:
+The ``Universe`` constructor grew a dozen keyword arguments across the
+scaling PRs (limits, checkpointing, resource budgets, sharding).  This
+module groups them into four frozen dataclasses plus a top-level
+:class:`ExplorationOptions` bundle:
 
 ``Universe(protocol, options=ExplorationOptions(
     limits=Limits(max_configurations=None),
     checkpoint=CheckpointPolicy(path="run.ckpt"),
     budget=ResourceBudget(rss_budget_mb=8192),
     sharding=Sharding(workers=4),
-    store="arena",
 ))``
+
+``store`` survives as a no-op for one release: the arena is the only
+configuration store, ``"arena"`` is accepted silently and ``"objects"``
+with a ``DeprecationWarning``.
 
 Legacy keyword arguments keep working through :func:`resolve_options`,
 which normalises either calling style into one ``ExplorationOptions``
@@ -69,14 +72,12 @@ class CheckpointPolicy:
     """Layer-boundary checkpointing (``None`` path = disabled).
 
     ``every`` saves each N layers, ``strict`` errors on damaged
-    checkpoints instead of salvage-truncating, ``format`` selects the
-    segmented incremental writer or the legacy monolithic blob.
+    checkpoints instead of salvage-truncating.
     """
 
     path: Any = None
     every: int = 1
     strict: bool = False
-    format: str = "segmented"
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class ExplorationOptions:
     checkpoint: CheckpointPolicy = CheckpointPolicy()
     budget: ResourceBudget = ResourceBudget()
     sharding: Sharding = Sharding()
-    store: str = "objects"
+    store: str = "arena"
 
 
 class _Unset:
@@ -126,7 +127,6 @@ _LEGACY_FIELDS = {
     "checkpoint": ("checkpoint", "path"),
     "checkpoint_every": ("checkpoint", "every"),
     "checkpoint_strict": ("checkpoint", "strict"),
-    "checkpoint_format": ("checkpoint", "format"),
     "rss_budget_mb": ("budget", "rss_budget_mb"),
     "spill_dir": ("budget", "spill_dir"),
     "workers": ("sharding", "workers"),
@@ -227,7 +227,6 @@ def options_from_args(args: Any) -> ExplorationOptions:
             path=getattr(args, "checkpoint", None),
             every=getattr(args, "checkpoint_every", 1),
             strict=getattr(args, "strict", False),
-            format=getattr(args, "checkpoint_format", "segmented"),
         ),
         budget=ResourceBudget(
             rss_budget_mb=rss_budget_mb,
@@ -239,7 +238,7 @@ def options_from_args(args: Any) -> ExplorationOptions:
                 FaultPlan.parse(fault_specs) if fault_specs else None
             ),
         ),
-        store=getattr(args, "store", "objects"),
+        store=getattr(args, "store", "arena"),
     )
 
 

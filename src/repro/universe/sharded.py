@@ -1,6 +1,7 @@
 """Multiprocess sharded frontier exploration (``Universe(..., workers=K)``).
 
-The single-process kernel (:meth:`repro.universe.explorer.Universe._explore`)
+The single-process kernel
+(:meth:`repro.universe.explorer.Universe._explore_packed`)
 walks the frontier one BFS layer at a time.  Because every edge extends a
 configuration by exactly one event, each layer holds configurations of one
 uniform event count — so duplicate discoveries can only collide *within*
@@ -26,26 +27,24 @@ what makes the frontier partitionable:
   parent id, original enabled-event order within a parent), resolving
   cross-worker duplicates against its authoritative id table with the
   kernel's own dedup logic, constructing each first-discovered child
-  exactly once, and appending the CSR successor rows;
+  exactly once (:func:`repro.universe.arena._materialise_child`) into
+  the arena, and appending the CSR successor rows;
 * the merged discovery stream ``[(parent_id, event), ...]`` is broadcast
   back (batch-compressed once, sent ``K`` times) and every worker replays
   it to keep its replica bit-identical to the coordinator's frontier.
 
-Worker replicas are **packed** (PR 9, :class:`_PackedReplica`): because
-shard expansion only ever reads the *current* frontier layer — batch
-dedup is layer-local by the uniform-event-count argument above, and
-cross-layer collisions are resolved coordinator-side — a worker keeps no
-``Configuration`` objects and no id table at all.  Its state is one
-window of packed history rows (fixed-width tuples in
-``ordered_processes`` order, exactly the representation of the arena
-kernel ``Universe._explore_packed``) plus per-layer-interned
-received/in-flight message frozensets; replaying the discovery stream
-advances the window floor parent-by-parent, so replaying the *full*
-stream after a respawn still peaks at one layer of rows.  That removes
-the (K+1)× object-store replication that made sharded n≥8 RAM-infeasible.
-The object-store replica (:class:`_Replica`) survives as the
-coordinator's fold-in fallback and as the measured baseline of the
-``sharded_rss_*`` bench pair.
+Worker replicas are **packed** (:class:`_PackedReplica`), and there is
+no other kind: because shard expansion only ever reads the *current*
+frontier layer — batch dedup is layer-local by the uniform-event-count
+argument above, and cross-layer collisions are resolved
+coordinator-side — a replica keeps no ``Configuration`` objects and no
+id table at all.  Its state is one window of packed history rows
+(fixed-width tuples in ``ordered_processes`` order, exactly the
+representation of the kernel ``Universe._explore_packed``) plus
+per-layer-interned received/in-flight message frozensets; replaying the
+discovery stream advances the window floor parent-by-parent, so
+replaying the *full* stream after a respawn still peaks at one layer of
+rows.
 
 Determinism: the coordinator replay *is* the kernel's inner loop fed by a
 pre-computed enabled-event stream, so the resulting universe — dense ids,
@@ -64,19 +63,19 @@ poll, workers send heartbeats while expanding (every
 corrupt frame (CRC mismatch) surfaces as a typed :class:`WorkerFailure`
 instead of a deadlock.  Recovery leans on the same purity that makes the
 engine deterministic: **shard expansion is a pure function of the merged
-discovery stream**, and the stream is reconstructible from the
-coordinator's own CSR store (:func:`discovery_stream`), so the
+discovery stream**, and the stream is the coordinator's own arena
+columns (:meth:`~repro.universe.arena.ArenaStore.records`), so the
 coordinator either
 
 * **respawns** a replacement worker and feeds it the full reconstructed
   stream as its first replay (the replacement rebuilds the replica and
   re-expands the failed layer shard — bit-identical by construction), or
 * once the respawn budget (``SupervisionPolicy.max_respawns``) is spent,
-  **folds** the dead worker's shard into itself: the coordinator owns the
-  authoritative state and expands that shard in-process for the rest of
-  the run.  The shard *assignment* (``hash % K``) never changes — only
-  who executes a shard — which is exactly why recovery cannot perturb
-  the result.
+  **folds** the dead worker's shard into itself: an in-process
+  :class:`_PackedReplica`, fed the same stream a replacement worker
+  would get, expands that shard for the rest of the run.  The shard
+  *assignment* (``hash % K``) never changes — only who executes a
+  shard — which is exactly why recovery cannot perturb the result.
 
 Worker-side exceptions are shipped as structured error frames (type,
 message, original traceback) and re-raised by the coordinator as
@@ -122,7 +121,11 @@ from repro.core.configuration import (
 )
 from repro.core.errors import UniverseError
 from repro.core.events import ReceiveEvent, SendEvent
-from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
+from repro.universe.arena import (
+    _materialise_child,
+    compress_batch,
+    decompress_batch,
+)
 from repro.universe.recovery import RecoveryLog
 from repro.universe.retry import (
     TRANSIENT_SPAWN_ERRNOS,
@@ -137,13 +140,6 @@ _BOUND_MESSAGE = (
 
 _MAX_WORKERS = 64
 """Safety cap on the worker count (each worker replicates the frontier)."""
-
-_DEFAULT_REPLICA = "packed"
-"""Worker replica representation: ``"packed"`` (window of packed history
-rows, the production default) or ``"objects"`` (full Configuration-list
-replica — retained as the measured memory baseline of the
-``sharded_rss_*`` bench pair)."""
-
 
 def resolve_workers(workers: int | None) -> int:
     """Normalise a ``workers`` argument: ``None``/``0``/``1`` mean the
@@ -252,280 +248,14 @@ class WorkerError(UniverseError):
         super().__init__(text)
 
 
-class _Replica:
-    """A worker's private copy of the universe under construction.
-
-    Grown exclusively by :meth:`apply` — replaying the coordinator's merged
-    discovery stream — so every replica (and the coordinator) holds the
-    same configurations at the same dense ids, with the same hash-table
-    collision buckets.
-    """
-
-    __slots__ = (
-        "protocol",
-        "configurations",
-        "ids_by_hash",
-        "entry_hash_of",
-        "seed_of",
-        "max_events",
-        "initial_steps",
-    )
-
-    def __init__(self, protocol, max_events) -> None:
-        self.protocol = protocol
-        self.configurations: list[Configuration] = [EMPTY_CONFIGURATION]
-        self.ids_by_hash: dict[int, int | list[int]] = {
-            hash(EMPTY_CONFIGURATION): 0
-        }
-        # Rolling entry hashes keyed by history-tuple identity, exactly as
-        # in the kernel: histories are pinned by `configurations`.
-        self.entry_hash_of: dict[int, int] = {}
-        self.seed_of = {
-            process: hash(process) % _HASH_MODULUS
-            for process in protocol.ordered_processes
-        }
-        self.max_events = max_events
-        table = protocol.step_table
-        self.initial_steps = {
-            process: table.steps(process, ())
-            for process in protocol.ordered_processes
-        }
-
-    @classmethod
-    def attached(cls, protocol, max_events, configurations) -> "_Replica":
-        """A replica that *reads* an externally owned configuration list
-        (the coordinator's) instead of maintaining its own — used to fold
-        a dead worker's shard into the coordinator.  Only :meth:`expand`
-        may be called on it."""
-        replica = cls(protocol, max_events)
-        replica.configurations = configurations
-        return replica
-
-    # -- shared hash math ----------------------------------------------
-    def _child_parts(self, parent: Configuration, event):
-        """``(process, new_history, new_entry, child_hash)`` of one edge.
-
-        The kernel's rolling-hash math verbatim: O(1) per edge via the
-        history-identity entry memo.
-        """
-        process = event.process
-        try:
-            event_hash = event._hash_cache
-        except AttributeError:
-            event_hash = hash(event)
-        parent_hash = parent._hash
-        if parent_hash is None:
-            parent_hash = hash(parent)
-        old_history = parent._histories.get(process)
-        if old_history is None:
-            new_history = (event,)
-            new_entry = (
-                self.seed_of[process] * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            child_hash = (parent_hash + new_entry) % _HASH_MODULUS
-        else:
-            memo = self.entry_hash_of
-            old_entry = memo.get(id(old_history))
-            if old_entry is None:
-                old_entry = _entry_hash(process, old_history)
-                memo[id(old_history)] = old_entry
-            new_history = old_history + (event,)
-            new_entry = (
-                old_entry * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
-        return process, new_history, new_entry, child_hash
-
-    @staticmethod
-    def _child_items(parent: Configuration, process, new_history):
-        """The child's normalised history dict (kernel construction)."""
-        parent_histories = parent._histories
-        if len(new_history) > 1:
-            items = dict(parent_histories)
-            items[process] = new_history
-        else:
-            items = {}
-            placed = False
-            for existing_process, history in parent_histories.items():
-                if not placed and process < existing_process:
-                    items[process] = new_history
-                    placed = True
-                items[existing_process] = history
-            if not placed:
-                items[process] = new_history
-        return items
-
-    # -- replay ---------------------------------------------------------
-    def apply(self, records, progress=None, progress_every: int = 0) -> None:
-        """Replay a merged discovery stream ``[(parent_id, event), ...]``
-        — append the children in stream order.  ``progress`` (if given)
-        is invoked every ``progress_every`` records so a worker replaying
-        a huge layer keeps its heartbeat alive."""
-        configurations = self.configurations
-        ids_by_hash = self.ids_by_hash
-        from_trusted = Configuration._from_trusted
-        since_progress = 0
-        for parent_id, event in records:
-            parent = configurations[parent_id]
-            process, new_history, new_entry, child_hash = self._child_parts(
-                parent, event
-            )
-            self.entry_hash_of[id(new_history)] = new_entry
-            items = self._child_items(parent, process, new_history)
-            child = from_trusted(items, child_hash, None)
-            parent._propagate_caches(child, event)
-            child_id = len(configurations)
-            configurations.append(child)
-            existing = ids_by_hash.get(child_hash)
-            if existing is None:
-                ids_by_hash[child_hash] = child_id
-            elif type(existing) is int:
-                ids_by_hash[child_hash] = [existing, child_id]
-            else:
-                existing.append(child_id)
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-
-    # -- expansion ------------------------------------------------------
-    def expand(
-        self,
-        layer_start: int,
-        layer_end: int,
-        shard: int,
-        shards: int,
-        progress=None,
-        progress_every: int = 0,
-    ):
-        """Expand this shard's parents of one frontier layer.
-
-        Returns ``(records, incomplete)``: per owned parent, in ascending
-        id order, ``(parent_id, edges)`` where ``edges`` is ``None`` for a
-        ``max_events``-capped parent, else a list whose elements are
-        either an ``int`` (duplicate of the batch-local candidate with
-        that index) or ``(event, child_hash)`` (candidate-new edge, first
-        local discovery).  ``incomplete`` is True iff a capped parent
-        still had enabled events (the kernel's completeness rule).
-
-        ``progress`` (if given) is invoked every ``progress_every``
-        *owned* parents — the worker-side heartbeat hook.
-        """
-        protocol = self.protocol
-        configurations = self.configurations
-        max_events = self.max_events
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = protocol.ordered_processes
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        initial_steps = self.initial_steps
-        child_parts = self._child_parts
-        child_items = self._child_items
-        from_trusted = Configuration._from_trusted
-
-        records = []
-        incomplete = False
-        candidates = 0
-        since_progress = 0
-        # Batch-local candidate table: child_hash -> [(index, transient)].
-        # Transient children are materialised so local duplicate edges get
-        # the kernel's structural check, not a hash-only equality.
-        layer_candidates: dict[int, list] = {}
-        for parent_id in range(layer_start, layer_end):
-            current = configurations[parent_id]
-            parent_hash = current._hash
-            if parent_hash is None:
-                parent_hash = hash(current)
-            if parent_hash % shards != shard:
-                continue
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-            if max_events is not None and len(current) >= max_events:
-                if compiled_enabled(current):
-                    incomplete = True
-                records.append((parent_id, None))
-                continue
-            if custom_enabling:
-                enabled = list(protocol.enabled_events(current))
-            else:
-                history_of = current._histories.get
-                enabled = []
-                for process in ordered:
-                    history = history_of(process)
-                    if history is None:
-                        enabled += initial_steps[process]
-                    else:
-                        steps = by_history[process].get(history)
-                        enabled += (
-                            steps
-                            if steps is not None
-                            else steps_for(process, history)
-                        )
-                in_flight = current.in_flight_messages
-                if in_flight:
-                    if not selective:
-                        enabled += receive_sets(in_flight)
-                    else:
-                        enabled += selective_receives(
-                            current._histories.get, in_flight
-                        )
-                if enabling_filter is not None:
-                    enabled = enabling_filter(current, enabled)
-            matches = current._matches_extension
-            edges: list = []
-            for event in enabled:
-                process, new_history, _, child_hash = child_parts(
-                    current, event
-                )
-                bucket = layer_candidates.get(child_hash)
-                if bucket is not None:
-                    resolved = None
-                    for candidate_index, transient in bucket:
-                        if matches(transient, process, new_history):
-                            resolved = candidate_index
-                            break
-                    if resolved is not None:
-                        edges.append(resolved)
-                        continue
-                transient = from_trusted(
-                    child_items(current, process, new_history),
-                    child_hash,
-                    None,
-                )
-                if bucket is None:
-                    layer_candidates[child_hash] = [(candidates, transient)]
-                else:
-                    bucket.append((candidates, transient))
-                edges.append((event, child_hash))
-                candidates += 1
-            records.append((parent_id, edges))
-        return records, incomplete
-
-
 class _PackedReplica:
     """A worker's *packed window* replica of the frontier.
 
-    The object replica above keeps every configuration of the universe
-    alive per worker — (K+1)× the coordinator's RSS.  But a shard worker
-    only ever reads the layer it is expanding: batch dedup is layer-local
-    (every edge adds one event, so duplicates collide within a layer),
-    and the rare cross-layer content-hash collision is resolved on the
-    coordinator, which owns the id table.  So this replica keeps exactly
-    one window of packed entries
+    A shard worker only ever reads the layer it is expanding: batch
+    dedup is layer-local (every edge adds one event, so duplicates
+    collide within a layer), and the rare cross-layer content-hash
+    collision is resolved on the coordinator, which owns the id table.
+    So this replica keeps exactly one window of packed entries
 
         ``id -> (row, content_hash, received, in_flight)``
 
@@ -538,10 +268,9 @@ class _PackedReplica:
     stream into packed form, advancing the window floor as the stream's
     (non-decreasing) parent ids move past entries — a full-stream replay
     after a respawn therefore still peaks at one layer of rows.
-    :meth:`expand` produces **bit-identical batches** to the object
-    replica: same enabled-event enumeration (compiled tables, selective
-    receives, enabling filters via transient materialisation), same
-    rolling child hashes, same batch-local candidate ordering.
+    :meth:`expand` enumerates exactly the kernel's enabled events
+    (compiled tables, selective receives, enabling filters via transient
+    materialisation) with the kernel's rolling child hashes.
 
     The rolling entry-hash memo is id-keyed on history tuples and
     rotates per :meth:`apply` generation, exactly as in the packed
@@ -732,9 +461,18 @@ class _PackedReplica:
     ):
         """Expand this shard's parents of one frontier layer.
 
-        Same contract and bit-identical output as
-        :meth:`_Replica.expand`; operates on packed rows, materialising
-        transient configurations only on the slow paths.
+        Returns ``(records, incomplete)``: per owned parent, in ascending
+        id order, ``(parent_id, edges)`` where ``edges`` is ``None`` for a
+        ``max_events``-capped parent, else a list whose elements are
+        either an ``int`` (duplicate of the batch-local candidate with
+        that index) or ``(event, child_hash)`` (candidate-new edge, first
+        local discovery).  ``incomplete`` is True iff a capped parent
+        still had enabled events (the kernel's completeness rule).
+        Operates on packed rows, materialising transient configurations
+        only on the slow paths.
+
+        ``progress`` (if given) is invoked every ``progress_every``
+        *owned* parents — the worker-side heartbeat hook.
         """
         protocol = self.protocol
         max_events = self.max_events
@@ -894,54 +632,6 @@ class _PackedReplica:
 
 
 # ---------------------------------------------------------------------
-# Discovery-stream reconstruction (the failover replay source)
-# ---------------------------------------------------------------------
-def _discovery_event(parent: Configuration, child: Configuration):
-    """The event extending ``parent`` to ``child``.
-
-    Children constructed by the merge (and by checkpoint replay) share
-    every unchanged history tuple with their parent by identity, so the
-    grown history is the one that is not the same object; its last entry
-    is the discovery event.
-    """
-    parent_histories = parent._histories
-    for process, history in child._histories.items():
-        if parent_histories.get(process) is not history:
-            return history[-1]
-    raise UniverseError(
-        "discovery-stream reconstruction found no extending event "
-        "(parent and child share all histories)"
-    )
-
-
-def discovery_stream(configurations, succ_offsets, succ_ids) -> list:
-    """Reconstruct the merged discovery stream from the CSR store.
-
-    Dense ids are assigned in discovery order, so walking the expanded
-    parents' successor rows in global BFS order, the first edge whose
-    child id equals the next unassigned id *is* that child's discovery
-    edge.  This is what lets the coordinator rebuild a dead worker's
-    replica without retaining the stream in memory: the stream is a pure
-    function of the state the coordinator already owns.
-    """
-    stream: list = []
-    expected = 1
-    for parent_id in range(len(succ_offsets) - 1):
-        row_start = succ_offsets[parent_id]
-        row_end = succ_offsets[parent_id + 1]
-        if row_start == row_end:
-            continue
-        parent = configurations[parent_id]
-        for child_id in succ_ids[row_start:row_end]:
-            if child_id == expected:
-                stream.append(
-                    (parent_id, _discovery_event(parent, configurations[child_id]))
-                )
-                expected += 1
-    return stream
-
-
-# ---------------------------------------------------------------------
 # Worker process body
 # ---------------------------------------------------------------------
 def _send_error(connection, error: BaseException | None, message: str) -> None:
@@ -991,14 +681,12 @@ def _worker_main(
     heartbeat_parents,
     heartbeat_records,
     fault_actions,
-    packed=True,
 ):
     """Body of one shard worker process.
 
     ``fault_actions`` is a list of :meth:`repro.universe.faults.Fault.as_wire`
     tuples scoped to this worker — deterministic fault injection for the
-    recovery test matrix; empty in production use.  ``packed`` selects
-    the replica representation (see :data:`_DEFAULT_REPLICA`).
+    recovery test matrix; empty in production use.
     """
     gc.disable()
     faults_by_layer: dict[int, list] = {}
@@ -1021,19 +709,14 @@ def _worker_main(
                 "or a pinned PYTHONHASHSEED)",
             )
             return
-        replica = (
-            _PackedReplica(protocol, max_events)
-            if packed
-            else _Replica(protocol, max_events)
-        )
+        replica = _PackedReplica(protocol, max_events)
         while True:
             message = connection.recv()
             kind = message[0]
             if kind == "stop":
                 # Farewell frame: this worker's peak RSS, so the
                 # coordinator can attribute sharded memory per process
-                # (the `sharded_rss_*` bench pair and the fault-recovery
-                # suite's per-worker axis).
+                # (the fault-recovery suite's per-worker axis).
                 try:
                     connection.send(("stopped", shard, _worker_peak_rss_mb()))
                 except (BrokenPipeError, OSError):
@@ -1054,14 +737,11 @@ def _worker_main(
                 progress=heartbeat,
                 progress_every=heartbeat_records,
             )
-            replica_count = (
-                replica.count if packed else len(replica.configurations)
-            )
-            if replica_count != layer_end:
+            if replica.count != layer_end:
                 _send_error(
                     connection,
                     None,
-                    f"replica desync: {replica_count} "
+                    f"replica desync: {replica.count} "
                     f"configurations, expected {layer_end}",
                 )
                 return
@@ -1128,30 +808,23 @@ class ShardedExplorer:
         workers: int,
         supervision: SupervisionPolicy | None = None,
         fault_plan=None,
-        replica: str | None = None,
     ) -> None:
         if workers < 2:
             raise UniverseError(
                 f"sharded exploration needs at least 2 workers, got {workers}"
-            )
-        replica = replica if replica is not None else _DEFAULT_REPLICA
-        if replica not in ("packed", "objects"):
-            raise UniverseError(
-                f"replica must be 'packed' or 'objects', got {replica!r}"
             )
         self._protocol = protocol
         self._max_events = max_events
         self._workers = workers
         self._policy = supervision or SupervisionPolicy()
         self._fault_plan = fault_plan
-        self._packed_replicas = replica == "packed"
         if fault_plan is not None:
             fault_plan.validate(workers)
         self._connections: list = [None] * workers
         self._processes: list = [None] * workers
         self._alive: list[bool] = [False] * workers
         self._respawns_left = self._policy.resolve_respawns(workers)
-        self._fallback: _Replica | None = None
+        self._fallback: _PackedReplica | None = None
         self._stream_blob: tuple[int, bytes] | None = None
         self._context = None
         self._token = None
@@ -1184,7 +857,6 @@ class ShardedExplorer:
             self._policy.heartbeat_parents,
             self._policy.heartbeat_records,
             actions,
-            self._packed_replicas,
         )
         delay = self._policy.spawn_backoff
         try:
@@ -1271,22 +943,12 @@ class ShardedExplorer:
     def _full_stream_blob(self, universe, layer_end: int) -> bytes:
         """The compressed full discovery stream up to ``layer_end``,
         cached per layer (several failures in one layer replay the same
-        stream).  Under the arena store the columns *are* the stream
-        (:meth:`~repro.universe.arena.ArenaStore.records`); under the
-        object store it is reconstructed from the CSR walk."""
+        stream).  The arena columns *are* the stream
+        (:meth:`~repro.universe.arena.ArenaStore.records`)."""
         cached = self._stream_blob
         if cached is not None and cached[0] == layer_end:
             return cached[1]
-        configurations = universe._configurations
-        if isinstance(configurations, ArenaStore):
-            stream = configurations.records(1, len(configurations))
-        else:
-            stream = discovery_stream(
-                configurations,
-                universe._succ_offsets,
-                universe._succ_ids,
-            )
-        blob = compress_batch(stream)
+        blob = compress_batch(universe._configurations.records(1, layer_end))
         self._stream_blob = (layer_end, blob)
         return blob
 
@@ -1295,23 +957,19 @@ class ShardedExplorer:
     ):
         """Expand ``shard`` in the coordinator — the no-respawn fallback.
 
-        The coordinator's own state is authoritative, so an attached
-        replica over it re-derives exactly the batch the worker would
-        have sent (pure function of the stream)."""
-        if self._fallback is None:
-            self._fallback = _Replica.attached(
-                self._protocol, self._max_events, universe._configurations
+        An in-process packed replica, fed the same stream a respawned
+        worker gets (the arena's discovery records it has not seen yet),
+        re-derives exactly the batch the worker would have sent — shard
+        expansion is a pure function of the stream."""
+        fallback = self._fallback
+        if fallback is None:
+            fallback = _PackedReplica(self._protocol, self._max_events)
+            self._fallback = fallback
+        if fallback.count < layer_end:
+            fallback.apply(
+                universe._configurations.records(fallback.count, layer_end)
             )
-        if isinstance(universe._configurations, ArenaStore):
-            # The arena evicts cold layers (freeing their history tuples),
-            # so the id-keyed entry memo cannot persist across layers
-            # without aliasing risk.  Frontier parents stay alive in the
-            # hot window for the whole expand call, so a per-call memo is
-            # both safe and still O(1) per edge within the layer.
-            self._fallback.entry_hash_of.clear()
-        return self._fallback.expand(
-            layer_start, layer_end, shard, self._workers
-        )
+        return fallback.expand(layer_start, layer_end, shard, self._workers)
 
     def _recover(
         self,
@@ -1650,22 +1308,15 @@ class ShardedExplorer:
     ) -> None:
         """The coordinator side: broadcast, gather, merge, repeat."""
         workers = self._workers
-        configurations = universe._configurations
-        arena = (
-            configurations if isinstance(configurations, ArenaStore) else None
-        )
-        lookup = (
-            arena._get_hot if arena is not None else configurations.__getitem__
-        )
+        arena = universe._configurations
+        lookup = arena._get_hot
         ids_by_hash = universe._ids_by_hash
         succ_ids = universe._succ_ids
         succ_offsets = universe._succ_offsets
-        from_trusted = Configuration._from_trusted
-        child_items = _Replica._child_items
         limit = max_configurations if max_configurations is not None else inf
 
         if resumed is not None:
-            count = len(configurations)
+            count = len(arena)
             edges = len(succ_ids)
             layer_start = resumed.frontier_start
             layer = resumed.layers
@@ -1673,7 +1324,7 @@ class ShardedExplorer:
             # is the full restored stream, not one layer's.
             replay: list = resumed.stream
         else:
-            configurations.append(EMPTY_CONFIGURATION)
+            arena.append(EMPTY_CONFIGURATION)
             ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
             count = 1
             edges = 0
@@ -1719,7 +1370,6 @@ class ShardedExplorer:
                         succ_offsets.append(edges)
                         continue
                     resolved = candidate_ids[shard]
-                    propagate = parent._propagate_caches
                     matches = parent._matches_extension
                     for edge in edge_list:
                         if type(edge) is int:
@@ -1784,18 +1434,12 @@ class ShardedExplorer:
                         if existing is None:
                             ids_by_hash[child_hash] = child_id
                         count += 1
-                        child = from_trusted(
-                            child_items(parent, process, new_history),
+                        arena.append_child(
+                            parent_id,
+                            event,
                             child_hash,
-                            None,
+                            _materialise_child(parent, event, child_hash),
                         )
-                        propagate(child, event)
-                        if arena is None:
-                            configurations.append(child)
-                        else:
-                            arena.append_child(
-                                parent_id, event, child_hash, child
-                            )
                         replay.append((parent_id, event))
                         resolved.append(child_id)
                         succ_ids.append(child_id)
@@ -1812,20 +1456,15 @@ class ShardedExplorer:
                     checkpoint.commit_layer(
                         replay, layer_end, universe, final=done
                     )
-                if arena is not None:
-                    # The consumed frontier is cold now: evict its window
-                    # objects and seal/compress whole chunks below it.
-                    arena.retire(layer_end)
+                # The consumed frontier is cold now: evict its window
+                # objects and seal/compress whole chunks below it.
+                arena.retire(layer_end)
                 layer_start = layer_end
                 layer += 1
                 if done:
                     break
                 if watchdog is not None and watchdog.exceeded():
-                    if (
-                        arena is not None
-                        and arena.spill_cold()
-                        and not watchdog.exceeded()
-                    ):
+                    if arena.spill_cold() and not watchdog.exceeded():
                         # Graceful spill bought headroom; keep exploring.
                         self.recovery_log.append(
                             {
@@ -1855,7 +1494,7 @@ class ShardedExplorer:
             raise UniverseError(bound_error)
         if bound_error is not None or rss_truncated:
             universe._complete = False
-            while len(succ_offsets) < len(configurations) + 1:
+            while len(succ_offsets) < len(arena) + 1:
                 succ_offsets.append(len(succ_ids))
 
 
@@ -1864,6 +1503,5 @@ __all__ = [
     "SupervisionPolicy",
     "WorkerError",
     "WorkerFailure",
-    "discovery_stream",
     "resolve_workers",
 ]

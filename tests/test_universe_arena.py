@@ -1,12 +1,13 @@
-"""Arena store vs object store: randomized equivalence, packed tiers.
+"""The arena store against the naive oracle: randomized access, packed tiers.
 
-The arena must be indistinguishable from the plain object list behind
-the ``Universe`` API: same dense ids, same CSR successor arrays, same
-hash table, and — under randomized access patterns — the same
-materialised configurations, projections, and mask queries.  The packed
-tiers (sealed zlib chunks, disk spill, bounded LRU with chain-walk
-materialisation) are exercised directly by shrinking the chunk size so
-small test universes cross every tier.
+The arena is the universe's only configuration store, so it must serve
+exactly the configurations a plain ``enabled_events`` BFS finds
+(:mod:`naive_explorer`) — under randomized indexing, slicing, masks and
+projections, and across every packed tier.  The tiers (sealed zlib
+chunks, disk spill, bounded cache with chain-walk materialisation) are
+exercised directly by shrinking the chunk size so small test universes
+cross every tier.  Ids, successor rows and completeness on every
+protocol, engine and resume point are ``tests/test_universe_oracle.py``.
 """
 
 from __future__ import annotations
@@ -17,104 +18,29 @@ import random
 import pytest
 
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
-from repro.protocols.failure_monitor import (
-    AsyncFailureMonitorProtocol,
-    SyncFailureMonitorProtocol,
-)
-from repro.protocols.mutex import TokenRingMutexProtocol
-from repro.protocols.pingpong import PingPongProtocol
-from repro.protocols.snapshot import SnapshotTokenRingProtocol
-from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe import arena as arena_module
 from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.builder import packed_store_of
 from repro.universe.explorer import Universe
+
+from naive_explorer import assert_matches_oracle, naive_explore
 
 
 def star(receivers: tuple[str, ...]) -> BroadcastProtocol:
     return BroadcastProtocol(star_topology("hub", receivers), "hub")
 
 
-EQUIVALENCE_PROTOCOLS = [
-    ("star_n4", lambda: star(("x", "y", "z"))),
-    ("token_bus_h4", lambda: TokenBusProtocol(max_hops=4)),
-    ("pingpong_r2", lambda: PingPongProtocol(rounds=2)),
-    ("mutex_h3", lambda: TokenRingMutexProtocol(max_hops=3)),
-    # Slow-path coverage for the packed kernel's transient
-    # materialisation: selective receives (can_receive overrides) and
-    # the declarative enabling filter.
-    ("async_monitor", lambda: AsyncFailureMonitorProtocol(heartbeats=2)),
-    ("sync_monitor", lambda: SyncFailureMonitorProtocol(rounds=2)),
-    ("snapshot_ring", lambda: SnapshotTokenRingProtocol(max_hops=3)),
-]
-
-
-def assert_same_universe(objects: Universe, arena: Universe) -> None:
-    """The full bit-identity contract between the two stores."""
-    assert len(arena) == len(objects)
-    assert arena.is_complete == objects.is_complete
-    assert arena._succ_offsets == objects._succ_offsets
-    assert arena._succ_ids == objects._succ_ids
-    assert arena._ids_by_hash == objects._ids_by_hash
-    for ours, theirs in zip(arena, objects):
-        assert ours == theirs
-        assert ours._histories == theirs._histories
-
-
 @pytest.fixture(scope="module")
 def star_pair():
-    """One medium universe (star n=5, 634 configurations), both stores."""
-    return Universe(star(("w", "x", "y", "z"))), Universe(
-        star(("w", "x", "y", "z")), store="arena"
-    )
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "label,factory",
-        EQUIVALENCE_PROTOCOLS,
-        ids=[entry[0] for entry in EQUIVALENCE_PROTOCOLS],
-    )
-    def test_kernel_arena_matches_object_store(self, label, factory):
-        assert_same_universe(
-            Universe(factory()), Universe(factory(), store="arena")
-        )
-
-    def test_sharded_arena_matches_object_store(self):
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(star(("w", "x", "y", "z")), store="arena", workers=2)
-        assert_same_universe(objects, arena)
-
-    def test_truncated_arena_matches_object_prefix(self):
-        objects = Universe(
-            star(("w", "x", "y", "z")),
-            max_configurations=150,
-            on_limit="truncate",
-        )
-        arena = Universe(
-            star(("w", "x", "y", "z")),
-            max_configurations=150,
-            on_limit="truncate",
-            store="arena",
-        )
-        assert_same_universe(objects, arena)
-
-    def test_max_events_bounded_arena_matches(self):
-        objects = Universe(star(("x", "y", "z")), max_events=4)
-        arena = Universe(star(("x", "y", "z")), max_events=4, store="arena")
-        assert_same_universe(objects, arena)
-
-    def test_invalid_store_rejected(self):
-        from repro.core.errors import UniverseError
-
-        with pytest.raises(UniverseError):
-            Universe(PingPongProtocol(rounds=1), store="parquet")
+    """One medium universe (star n=5, 634 configurations) and the
+    oracle's configuration list for it."""
+    configurations, _, _ = naive_explore(star(("w", "x", "y", "z")))
+    return configurations, Universe(star(("w", "x", "y", "z")))
 
 
 class TestRandomizedAccess:
     def test_random_indexing_matches(self, star_pair):
-        objects, arena = star_pair
-        reference = list(objects.configurations)
+        reference, arena = star_pair
         store = arena._configurations
         rng = random.Random(7)
         for index in rng.sample(range(len(reference)), 200):
@@ -128,11 +54,10 @@ class TestRandomizedAccess:
             store[len(reference)]
 
     def test_random_projections_match(self, star_pair):
-        objects, arena = star_pair
-        reference = list(objects.configurations)
+        reference, arena = star_pair
         store = arena._configurations
         rng = random.Random(11)
-        processes = sorted(objects.processes)
+        processes = sorted(arena.processes)
         for index in rng.sample(range(len(reference)), 64):
             process = rng.choice(processes)
             assert store[index].history(process) == reference[index].history(
@@ -140,27 +65,30 @@ class TestRandomizedAccess:
             )
 
     def test_random_masks_match(self, star_pair):
-        objects, arena = star_pair
+        reference, arena = star_pair
         rng = random.Random(13)
         for _ in range(32):
-            mask = rng.getrandbits(len(objects))
-            assert arena.configurations_in_mask(
-                mask
-            ) == objects.configurations_in_mask(mask)
+            mask = rng.getrandbits(len(reference))
+            assert list(arena.configurations_in_mask(mask)) == [
+                reference[index]
+                for index in range(len(reference))
+                if mask >> index & 1
+            ]
 
     def test_partition_tables_match(self, star_pair):
-        objects, arena = star_pair
-        for process in sorted(objects.processes):
-            ours = arena.partition_table(frozenset({process}))
-            theirs = objects.partition_table(frozenset({process}))
-            assert ours.num_classes == theirs.num_classes
-            assert ours.class_of == theirs.class_of
+        reference, arena = star_pair
+        for process in sorted(arena.processes):
+            table = arena.partition_table(frozenset({process}))
+            for ids in table.members:
+                histories = {reference[index].history(process) for index in ids}
+                assert len(histories) == 1
 
     def test_config_id_round_trip(self, star_pair):
-        objects, arena = star_pair
+        reference, arena = star_pair
         rng = random.Random(17)
-        for index in rng.sample(range(len(objects)), 64):
+        for index in rng.sample(range(len(reference)), 64):
             assert arena.config_id(arena._configurations[index]) == index
+            assert arena.config_id(reference[index]) == index
 
 
 class TestPickleAndSeeding:
@@ -173,8 +101,7 @@ class TestPickleAndSeeding:
         assert list(loaded) == list(store)
 
     def test_packed_store_of_round_trip(self, star_pair):
-        objects, _ = star_pair
-        reference = list(objects.configurations)[:100]
+        reference = star_pair[0][:100]
         store = packed_store_of(reference)
         assert len(store) == len(reference)
         assert store == reference
@@ -201,35 +128,35 @@ def small_chunks(monkeypatch):
 
 class TestPackedTiers:
     def test_sealed_chunks_stay_equivalent(self, small_chunks):
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(star(("w", "x", "y", "z")), store="arena")
+        oracle = naive_explore(star(("w", "x", "y", "z")))
+        arena = Universe(star(("w", "x", "y", "z")))
         store = arena._configurations
         stats = store.stats()
         assert stats["sealed_chunks"] > 0
         assert 0 < stats["compressed_bytes"] < stats["raw_bytes"]
-        assert_same_universe(objects, arena)
+        store.spill_cold()  # drop the caches: cold reads only
+        assert_matches_oracle(arena, oracle)
         # Random access through the cold tier chain-walks and caches.
-        reference = list(objects.configurations)
+        store.spill_cold()
+        reference = oracle[0]
         rng = random.Random(19)
         for index in rng.sample(range(len(reference)), 100):
             assert store[index] == reference[index]
         assert store.chain_walks > 0
 
     def test_spill_tier_round_trip(self, small_chunks, tmp_path):
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(
-            star(("w", "x", "y", "z")), store="arena", spill_dir=tmp_path
-        )
+        oracle = naive_explore(star(("w", "x", "y", "z")))
+        arena = Universe(star(("w", "x", "y", "z")), spill_dir=tmp_path)
         store = arena._configurations
         stats = store.stats()
         assert stats["spilled_chunks"] > 0
         assert stats["spilled_bytes"] > 0
         spill_files = list(tmp_path.glob("arena-*.spill"))
         assert len(spill_files) == 1
-        assert_same_universe(objects, arena)
+        assert_matches_oracle(arena, oracle)
         # spill_cold drops the caches; reads fault back in via mmap.
         store.spill_cold()
-        reference = list(objects.configurations)
+        reference = oracle[0]
         rng = random.Random(23)
         for index in rng.sample(range(len(reference)), 50):
             assert store[index] == reference[index]
@@ -241,15 +168,14 @@ class TestPackedTiers:
     def test_tiny_lru_replay_matches(self, small_chunks):
         """A pathologically small LRU forces long chain-walks up the
         parent column; replay of the packed discovery records must still
-        reproduce the object store exactly."""
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(star(("w", "x", "y", "z")), store="arena")
+        reproduce the oracle's configurations exactly."""
+        arena = Universe(star(("w", "x", "y", "z")))
         records = arena._configurations.records(1, len(arena))
         tiny = ArenaStore(lru_size=4, chunk_cache_size=2)
         ids_by_hash = tiny.replay(records)
-        assert ids_by_hash == objects._ids_by_hash
+        assert ids_by_hash == arena._ids_by_hash
         tiny.retire(len(tiny))  # evict the replay window: cold reads only
-        reference = list(objects.configurations)
+        reference = naive_explore(star(("w", "x", "y", "z")))[0]
         assert len(tiny) == len(reference)
         rng = random.Random(29)
         for index in rng.sample(range(len(reference)), 60):
@@ -260,7 +186,7 @@ class TestPackedTiers:
         assert tiny.chain_walks > 0
 
     def test_records_skip_roots(self, small_chunks):
-        arena = Universe(star(("x", "y")), store="arena")
+        arena = Universe(star(("x", "y")))
         store = arena._configurations
         records = store.records(0, len(store))
         assert len(records) == len(store) - 1  # the root has no record

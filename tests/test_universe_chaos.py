@@ -20,9 +20,7 @@ def run_and_check(tmp_path, **kwargs):
     path = tmp_path / "chaos.ckpt"
     result = run_campaign(path, **kwargs)
     assert result.completed, result.describe()
-    count = verify_bit_identical(
-        path, result.size, store=kwargs.get("store", "objects")
-    )
+    count = verify_bit_identical(path, result.size)
     return result, count
 
 
@@ -72,13 +70,13 @@ class TestShardedChaos:
         assert result.torn_saves >= 1, result.describe()
 
 
-class TestArenaChaos:
+class TestSpillChaos:
     def test_arena_with_spill_survives_kills(self, tmp_path):
-        """The packed arena store with disk spill enabled dies and
-        resumes like the object store: spilled chunks are a read cache,
-        never checkpoint state, so a kill while spill files exist (and a
-        resume that never sees them again) must still reconstruct
-        bit-identically — verified against an object-store clean run."""
+        """Exploration with disk spill enabled dies and resumes like any
+        other: spilled chunks are a read cache, never checkpoint state,
+        so a kill while spill files exist (and a resume that never sees
+        them again) must still reconstruct bit-identically — verified
+        against a fresh uninterrupted run."""
         spill = tmp_path / "spill"
         spill.mkdir()
         result, count = run_and_check(
@@ -87,7 +85,6 @@ class TestArenaChaos:
             kills=3,
             seed=7,
             workers_schedule=(1,),
-            store="arena",
             spill_dir=spill,
         )
         assert count == STAR6

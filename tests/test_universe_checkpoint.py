@@ -48,6 +48,15 @@ def flip_last_byte(path):
     path.write_bytes(bytes(raw))
 
 
+def v1_checkpoint(tmp_path, name="u.ckpt"):
+    """A copy of the version-1 fixture: star n=5 truncated at 300
+    configurations, written by the monolithic writer before it was
+    retired (the format is read-only now)."""
+    path = tmp_path / name
+    path.write_bytes((FIXTURES / "checkpoint_v1.ckpt").read_bytes())
+    return path
+
+
 def partial_checkpoint(tmp_path, cap=300, name="u.ckpt", **kwargs):
     path = tmp_path / name
     Universe(
@@ -426,12 +435,6 @@ class TestSegmentedLayout:
                 tmp_path / "x", star_protocol(4), None, compact_at=1
             )
 
-    def test_format_validation(self, tmp_path):
-        with pytest.raises(UniverseError, match="segmented.*monolithic"):
-            CheckpointSession(
-                tmp_path / "x", star_protocol(4), None, format="yaml"
-            )
-
 
 class TestCorruptionSalvage:
     """Damaged checkpoints resume from the longest intact prefix."""
@@ -594,33 +597,27 @@ class TestCheckpointFaultInjection:
 class TestVersioning:
     """v1 read-compatibility, migration, and future-version refusal."""
 
-    def test_monolithic_writer_still_produces_v1(self, tmp_path):
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
-        raw = path.read_bytes()
+    def test_v1_fixture_is_monolithic(self, tmp_path):
+        raw = v1_checkpoint(tmp_path).read_bytes()
         assert raw.startswith(CHECKPOINT_MAGIC)
         assert not raw.startswith(MANIFEST_MAGIC)
-        assert not segment_files(path)
 
     def test_v1_resume_migrates_to_segmented(self, tmp_path):
         single = Universe(star_protocol(5))
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
+        path = v1_checkpoint(tmp_path)
         resumed = Universe(star_protocol(5), checkpoint=path)
+        assert resumed._checkpoint_session.resumed_from is not None
         assert_bit_identical(single, resumed)
         assert path.read_bytes().startswith(MANIFEST_MAGIC)
         assert segment_files(path)
+        assert inspect_checkpoint(path)["valid"]
         # And the migrated file itself resumes cleanly.
         again = Universe(star_protocol(5), checkpoint=path)
         assert_bit_identical(single, again)
 
-    def test_monolithic_round_trip_stays_v1(self, tmp_path):
-        single = Universe(star_protocol(5))
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
-        resumed = Universe(
-            star_protocol(5), checkpoint=path, checkpoint_format="monolithic"
-        )
-        assert_bit_identical(single, resumed)
-        assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
-        assert not segment_files(path)
+    def test_v1_token_is_checked(self, tmp_path):
+        with pytest.raises(CheckpointError, match="process set"):
+            Universe(star_protocol(6), checkpoint=v1_checkpoint(tmp_path))
 
     def test_future_version_fixture_rejected(self, tmp_path):
         fixture = FIXTURES / "checkpoint_v99.ckpt"
@@ -684,7 +681,7 @@ class TestInspectCheckpoint:
         assert "bad magic" in report["error"]
 
     def test_v1_report(self, tmp_path):
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
+        path = v1_checkpoint(tmp_path)
         report = inspect_checkpoint(path)
         assert report["format_version"] == 1
         assert report["valid"]

@@ -22,15 +22,17 @@ from repro.core.errors import UniverseError
 from repro.protocols.broadcast import BroadcastProtocol, tree_topology
 from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.universe.arena import ArenaStore
 from repro.universe.explorer import Universe
 from repro.universe.faults import FAULT_KINDS, Fault, FaultPlan
 from repro.universe.sharded import (
     ShardedExplorer,
     SupervisionPolicy,
     WorkerError,
-    discovery_stream,
+    _PackedReplica,
 )
 
+from naive_explorer import naive_explore
 from test_universe_sharded import assert_bit_identical, star_protocol
 
 # Deterministic faults need no long grace periods; a tight poll keeps
@@ -466,28 +468,25 @@ class TestSupervisionPolicyApi:
         assert SupervisionPolicy(max_respawns=1).resolve_respawns(4) == 1
 
 
-class TestDiscoveryStreamReconstruction:
-    def test_stream_replays_to_the_same_universe(self):
-        """The failover replay source: reconstructing the stream from
-        the CSR store and replaying it rebuilds the identical state."""
-        from repro.universe.sharded import _Replica
-
+class TestDiscoveryStreamReplay:
+    def test_stream_replays_to_the_oracle_universe(self):
+        """The failover replay source: the arena's discovery records,
+        replayed into a fresh store, rebuild the naive oracle's
+        configurations and the universe's hash table; a packed replica
+        fed the same stream reaches the same frontier."""
         universe = Universe(star_protocol(5))
-        stream = discovery_stream(
-            universe._configurations,
-            universe._succ_offsets,
-            universe._succ_ids,
-        )
+        stream = universe._configurations.records(1, len(universe))
         assert len(stream) == len(universe) - 1  # one record per discovery
-        replica = _Replica(universe.protocol, None)
-        replica.apply(stream)
-        assert len(replica.configurations) == len(universe)
-        for ours, theirs in zip(
-            replica.configurations, universe._configurations
-        ):
+        store = ArenaStore()
+        assert store.replay(stream) == universe._ids_by_hash
+        configurations, _, _ = naive_explore(star_protocol(5))
+        assert len(store) == len(configurations)
+        for ours, theirs in zip(store, configurations):
             assert ours == theirs
             assert ours._histories == theirs._histories
-        assert replica.ids_by_hash == universe._ids_by_hash
+        replica = _PackedReplica(universe.protocol, None)
+        replica.apply(stream)
+        assert replica.count == len(universe)
 
 
 class TestFaultSpecParsing:

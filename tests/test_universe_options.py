@@ -28,6 +28,8 @@ from repro.universe.options import (
     options_from_args,
 )
 from repro.universe.sharded import SupervisionPolicy
+
+from naive_explorer import assert_matches_oracle, naive_explore
 from test_universe_sharded import assert_bit_identical, star_protocol
 
 FAST = SupervisionPolicy(heartbeat_timeout=5.0, poll_interval=0.02)
@@ -76,7 +78,7 @@ class TestCallStyleMatrix:
     def test_options_property_reflects_resolution(self):
         universe = Universe(star_protocol(4), max_configurations=500)
         assert universe.options.limits.max_configurations == 500
-        assert universe.options.store == "objects"
+        assert universe.options.store == "arena"
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sharded_options_style(self, workers):
@@ -92,7 +94,6 @@ class TestCallStyleMatrix:
 
     def test_arena_store_options_style(self, tmp_path):
         with no_warnings():
-            objects = Universe(star_protocol(5))
             arena = Universe(
                 star_protocol(5),
                 options=ExplorationOptions(
@@ -100,9 +101,34 @@ class TestCallStyleMatrix:
                     budget=ResourceBudget(spill_dir=tmp_path),
                 ),
             )
-        assert len(objects) == len(arena)
-        assert objects._succ_ids == arena._succ_ids
-        assert objects._ids_by_hash == arena._ids_by_hash
+        assert_matches_oracle(arena, naive_explore(star_protocol(5)))
+
+
+class TestStoreNoOp:
+    """``store=`` survives one release as a no-op: ``"arena"`` silently,
+    ``"objects"`` with a ``DeprecationWarning``, anything else rejected."""
+
+    def test_objects_warns_and_builds_the_same_universe(self):
+        with pytest.warns(DeprecationWarning, match="store='objects'"):
+            universe = Universe(star_protocol(4), store="objects")
+        assert_matches_oracle(universe, naive_explore(star_protocol(4)))
+        with pytest.warns(DeprecationWarning, match="store='objects'"):
+            Universe(
+                star_protocol(4), options=ExplorationOptions(store="objects")
+            )
+
+    def test_arena_is_silent(self):
+        with no_warnings():
+            Universe(star_protocol(4), store="arena")
+
+    def test_unknown_store_rejected(self):
+        with pytest.raises(UniverseError, match="store must be"):
+            Universe(star_protocol(4), store="parquet")
+
+    def test_spill_dir_needs_no_store(self, tmp_path):
+        with no_warnings():
+            universe = Universe(star_protocol(4), spill_dir=tmp_path)
+        assert_matches_oracle(universe, naive_explore(star_protocol(4)))
 
 
 class TestRecoveryEquivalence:
@@ -248,7 +274,7 @@ class TestPicklePortability:
         finally:
             child.join(timeout=30)
         assert complete
-        assert store == "objects"
+        assert store == "arena"
         assert count == len(Universe(star_protocol(4)))
 
 
@@ -262,7 +288,6 @@ class TestOptionsFromArgs:
             limit=123,
             checkpoint=str(tmp_path / "c.ckpt"),
             checkpoint_every=3,
-            checkpoint_format="monolithic",
             strict=True,
             rss_budget=2048.0,
             spill_dir=str(tmp_path),
@@ -274,7 +299,6 @@ class TestOptionsFromArgs:
         assert options.limits.max_configurations == 123
         assert options.limits.on_limit == "truncate"  # implied by budget
         assert options.checkpoint.every == 3
-        assert options.checkpoint.format == "monolithic"
         assert options.checkpoint.strict is True
         assert options.budget.rss_budget_mb == 2048.0
         assert options.sharding.workers == 4

@@ -15,10 +15,7 @@ def star_universe() -> Universe:
 
 def sparse_twin(table: PartitionTable) -> PartitionTable:
     """The same partition, forced onto the sparse representation."""
-    buckets = {
-        index: list(members) for index, members in enumerate(table.members)
-    }
-    return PartitionTable(table.size, buckets, sparse=True)
+    return PartitionTable(table.class_of, table.num_classes, sparse=True)
 
 
 class TestIterBitIds:
@@ -90,14 +87,14 @@ class TestSparseRepresentation:
         # pick the sparse representation and still answer identically.
         import repro.universe.explorer as explorer
 
-        buckets = {index: [index] for index in range(len(star_universe))}
-        dense = PartitionTable(len(star_universe), buckets, sparse=False)
-        auto = PartitionTable(len(star_universe), buckets)
+        singletons = range(len(star_universe))
+        dense = PartitionTable(singletons, len(singletons), sparse=False)
+        auto = PartitionTable(singletons, len(singletons))
         assert auto.sparse == (
             auto.num_classes * ((auto.size + 63) >> 6)
             > explorer._DENSE_MASK_WORD_BUDGET
         )
-        forced = PartitionTable(len(star_universe), buckets, sparse=True)
+        forced = PartitionTable(singletons, len(singletons), sparse=True)
         assert forced.compose(0b101) == dense.compose(0b101) == 0b101
         assert forced.masks() == dense.masks()
 
@@ -169,9 +166,8 @@ class TestSparseMaskMemo:
 class TestFingerprints:
     def test_equal_partitions_share_a_fingerprint(self, star_universe):
         table = star_universe.partition_table(frozenset({"hub"}))
-        rebuilt = PartitionTable(
-            table.size,
-            {index: list(members) for index, members in enumerate(table.members)},
+        rebuilt = PartitionTable.from_keys(
+            table.class_of[config_id] for config_id in range(table.size)
         )
         assert rebuilt.fingerprint == table.fingerprint
         assert rebuilt.same_partition_as(table)

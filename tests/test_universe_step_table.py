@@ -145,16 +145,18 @@ class TestCompiledStepTableOracle:
 
     def test_enabling_filter_universe_matches_pre_filter_exploration(self):
         """The filtered kernel fast path discovers exactly the universe
-        the enabled_events oracle defines (size + successor structure),
-        in both engines and both stores."""
+        the enabled_events oracle defines (ids + successor structure),
+        in both engines."""
         from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
 
-        reference = Universe(SyncFailureMonitorProtocol(rounds=2))
-        for kwargs in ({"store": "arena"}, {"workers": 2}):
-            other = Universe(SyncFailureMonitorProtocol(rounds=2), **kwargs)
-            assert len(other) == len(reference)
-            assert other._succ_offsets == reference._succ_offsets
-            assert other._succ_ids == reference._succ_ids
+        from naive_explorer import assert_matches_oracle, naive_explore
+
+        oracle = naive_explore(SyncFailureMonitorProtocol(rounds=2))
+        for workers in (None, 2):
+            assert_matches_oracle(
+                Universe(SyncFailureMonitorProtocol(rounds=2), workers=workers),
+                oracle,
+            )
 
 
 class TestCSRSuccessorStore:

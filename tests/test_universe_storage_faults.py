@@ -406,14 +406,13 @@ class TestWriterStickyError:
 
     def test_queue_ordered_arming_declines_when_unorderable(self, tmp_path):
         session = CheckpointSession(
-            tmp_path / "fg.ckpt", star_protocol(4), None, background=False
+            tmp_path / "idle.ckpt", star_protocol(4), None
         )
-        # Foreground writes are already ordered — the caller arms directly.
+        # An idle, drained writer is already ordered — the caller arms
+        # directly.
         assert not session.arm_storage_faults([("enospc", 0.0)])
-        mono = CheckpointSession(
-            tmp_path / "mono.ckpt", star_protocol(4), None, format="monolithic"
-        )
-        assert not mono.arm_storage_faults([("enospc", 0.0)])
+        session.degraded = True
+        assert not session.arm_storage_faults([("enospc", 0.0)])
 
 
 class TestArenaSpillLadder:

@@ -381,9 +381,9 @@ class Configuration:
 
         Derives the child's content hash from this configuration's cached
         hash with one modular multiply-add — O(1), no child construction.
-        Exploration kernels use the hash to dedup against their own id
-        tables before deciding whether to build anything; ``new_history``
-        has the parent history as a prefix, so ``len(new_history) == 1``
+        :meth:`extend` uses the hash to dedup against the intern registry
+        before deciding whether to build anything; ``new_history`` has
+        the parent history as a prefix, so ``len(new_history) == 1``
         tells builders the process is new to the configuration.
         """
         process = event.process
@@ -477,10 +477,8 @@ class Configuration:
         The result is built without re-validation or re-sorting, its hash
         is derived incrementally from this configuration's hash, and
         structurally equal results are interned so repeated discoveries
-        return the same object.  (The exhaustive-exploration kernel no
-        longer routes through here — it dedups against its own dense id
-        table via :meth:`_extension_parts`; see
-        :mod:`repro.universe.explorer`.)
+        return the same object.  (Exploration does not route through
+        here: it extends packed rows, :mod:`repro.universe.frontier`.)
         """
         new_history, content_hash, new_entry = self._extension_parts(event)
         process = event.process
@@ -501,10 +499,10 @@ class Configuration:
     def extend_unregistered(self, event: Event) -> "Configuration":
         """Like :meth:`extend`, but never touches the intern registry.
 
-        For driver loops that extend along one path and discard (or
-        privately index) the intermediates — the simulator's step loop and
-        the exploration kernel — where interning each child would cycle
-        the weak registry once per step for no dedup benefit.  The result
+        For driver loops that extend along one path and discard the
+        intermediates — the simulator's step loop — where interning each
+        child would cycle the weak registry once per step for no dedup
+        benefit.  The result
         hashes and compares exactly like an interned configuration, it is
         just never the canonical instance.
         """

@@ -8,14 +8,12 @@ configuration).  It materialises
 :class:`~repro.core.configuration.Configuration` objects lazily, behind a
 read-only sequence interface:
 
-* a **hot window** keeps the current BFS frontier and the layer under
-  construction as real objects (the only ids the kernel dereferences,
-  thanks to the layer-uniform event count of BFS layers);
-* everything colder is reached by a **chain walk** up the parent column
-  to the nearest materialised ancestor, rebuilding descendants through a
-  bounded cache — property sweeps and spot lookups never pay for objects
-  they don't touch;
-* sealed **cold chunks** (whole column slices below the hot window)
+* a read is a **chain walk** up the parent column to the nearest
+  materialised ancestor, rebuilding descendants through a bounded cache
+  — property sweeps and spot lookups never pay for objects they don't
+  touch, and exploration itself reads no objects at all (it keeps its
+  frontier as packed rows, :mod:`repro.universe.frontier`);
+* sealed **cold chunks** (whole column slices below the retired floor)
   compress with zlib at batch level and, when a ``spill_dir`` is given,
   stream to an mmap-backed on-disk arena so resident memory stays
   O(frontier), not O(universe).
@@ -78,11 +76,10 @@ def _materialise_child(
 ) -> Configuration:
     """Build the child ``parent + event`` with its recorded hash.
 
-    The one child constructor of the system — the sharded coordinator's
-    merge, lazy rematerialisation and iteration all build children here
-    (sorted-insert items layout, trusted constructor, cache
-    propagation), so every copy of a configuration is structurally
-    identical.
+    The one child constructor of the store — lazy rematerialisation and
+    iteration both build children here (sorted-insert items layout,
+    trusted constructor, cache propagation), so every copy of a
+    configuration is structurally identical.
     """
     process = event.process
     parent_histories = parent._histories
@@ -132,8 +129,7 @@ class ArenaStore:
     The explorer's ``_configurations``: supports ``len``, indexing (lazy
     materialisation), iteration (streaming, two layers of transient
     objects), equality against any configuration sequence, and
-    ``append``/``append_child``/``replay`` for the kernel, seeding and
-    checkpoint-install paths.
+    ``append``/``append_child`` for the roots and first discoveries.
     """
 
     def __init__(
@@ -160,10 +156,9 @@ class ArenaStore:
         self._tail_parent = array("q")
         self._tail_event = array("i")
         self._tail_hash = array("q")
-        # Hot window: materialised objects for the ids the kernel still
-        # dereferences (current frontier + layer under construction).
-        self._window: dict[int, Configuration] = {}
-        self._window_floor = 0
+        # Ids below the floor are retired (no longer frontier); only
+        # whole chunks below it seal.
+        self._floor = 0
         # Roots appended directly (no parent) stay pinned forever.
         self._pinned: dict[int, Configuration] = {}
         self._lru: OrderedDict[int, Configuration] = OrderedDict()
@@ -342,20 +337,9 @@ class ArenaStore:
         self._pinned[index] = configuration
         return index
 
-    def append_child(
-        self,
-        parent_id: int,
-        event: Event,
-        content_hash: int,
-        child: Configuration | None,
-    ) -> int:
-        """Record a first discovery: pack the columns, keep the object hot.
-
-        ``child`` may be ``None``: the packed exploration kernel tracks
-        its own window of history rows and never builds child objects,
-        so only the columns are written and any later read materialises
-        through the cold tiers.
-        """
+    def append_child(self, parent_id: int, event: Event, content_hash: int) -> int:
+        """Record a first discovery as one column row; a later read
+        materialises the object from the columns."""
         event_index = self._event_index.get(event)
         if event_index is None:
             event_index = len(self._events)
@@ -366,26 +350,19 @@ class ArenaStore:
         self._tail_event.append(event_index)
         self._tail_hash.append(content_hash)
         self._count += 1
-        if child is not None:
-            self._window[index] = child
         return index
 
     def retire(self, new_floor: int) -> None:
-        """Evict the consumed layer(s) below ``new_floor`` and seal cold
+        """Retire the consumed layer(s) below ``new_floor`` and seal cold
         chunks.  Called at BFS layer boundaries with the id where the
         next frontier starts."""
-        window = self._window
-        stop = min(new_floor, self._count)
-        for index in range(self._window_floor, stop):
-            window.pop(index, None)
-        if new_floor > self._window_floor:
-            self._window_floor = new_floor
+        self._floor = max(self._floor, new_floor)
         self._seal_cold()
 
     def _seal_cold(self) -> None:
         while True:
             base = len(self._chunks) << _CHUNK_BITS
-            if base + _CHUNK_SIZE > self._window_floor:
+            if base + _CHUNK_SIZE > self._floor:
                 break
             if base + _CHUNK_SIZE > self._count:
                 break
@@ -532,13 +509,6 @@ class ArenaStore:
     def __bool__(self) -> bool:
         return self._count > 0
 
-    def _get_hot(self, index: int) -> Configuration:
-        """Kernel fast path: hot window first, full lookup on miss."""
-        configuration = self._window.get(index)
-        if configuration is not None:
-            return configuration
-        return self[index]
-
     def __getitem__(self, index):
         if type(index) is int:
             # Analysis fast path: resident objects answer with one probe
@@ -555,11 +525,9 @@ class ArenaStore:
         configuration = self._lru.get(index)
         if configuration is not None:
             return configuration
-        configuration = self._window.get(index)
+        configuration = self._pinned.get(index)
         if configuration is None:
-            configuration = self._pinned.get(index)
-            if configuration is None:
-                return self._materialise(index)
+            return self._materialise(index)
         self._remember(index, configuration)
         return configuration
 
@@ -575,7 +543,6 @@ class ArenaStore:
         """Chain-walk up the parent column to the nearest live ancestor,
         then rebuild downwards through the bounded cache."""
         self.chain_walks += 1
-        window = self._window
         pinned = self._pinned
         lru = self._lru
         chain: list[tuple[int, int, int]] = []
@@ -587,9 +554,7 @@ class ArenaStore:
                 break
             chain.append((cursor, event_index, content_hash))
             cursor = parent
-            current = window.get(cursor)
-            if current is None:
-                current = pinned.get(cursor)
+            current = pinned.get(cursor)
             if current is None:
                 current = lru.get(cursor)
             if current is not None:
@@ -613,7 +578,7 @@ class ArenaStore:
     def __iter__(self) -> Iterator[Configuration]:
         """Stream all configurations in id order.
 
-        Resident objects (hot window, pinned roots, the bounded cache)
+        Resident objects (pinned roots, the bounded cache)
         are yielded as they are, so repeated sweeps over a universe that
         fits the cache see the same objects and their memoised views.
         BFS parent ids are non-decreasing along the id order, so one
@@ -624,7 +589,7 @@ class ArenaStore:
         cache: dict[int, Configuration] = {}
         floor = 0
         events = self._events
-        resident = (self._window.get, self._pinned.get, self._lru.get)
+        resident = (self._pinned.get, self._lru.get)
         for index in range(self._count):
             for lookup in resident:
                 current = lookup(index)
@@ -663,48 +628,6 @@ class ArenaStore:
         return (_rebuild_pinned, (list(self),))
 
     # ------------------------------------------------------------------
-    # Checkpoint replay
-    # ------------------------------------------------------------------
-    def replay(self, stream) -> dict[int, int | list[int]]:
-        """Rebuild the arena from checkpoint discovery records.
-
-        ``stream`` is the saved ``(parent_id, event)`` record list in
-        discovery order.  Parents arrive in non-decreasing order, so the
-        hot window advances exactly as it did during live exploration —
-        resident objects stay bounded by two BFS layers.  Returns the
-        content-hash -> dense id dedup table (with collision buckets),
-        ready to install on the universe.
-        """
-        if self._count:
-            self.clear()
-        from repro.core.configuration import EMPTY_CONFIGURATION
-
-        self.append(EMPTY_CONFIGURATION)
-        ids_by_hash: dict[int, int | list[int]] = {
-            hash(EMPTY_CONFIGURATION): 0
-        }
-        window = self._window
-        for parent_id, event in stream:
-            while self._window_floor < parent_id:
-                window.pop(self._window_floor, None)
-                self._window_floor += 1
-            parent = window.get(parent_id)
-            if parent is None:
-                parent = self[parent_id]
-            child = parent.extend_unregistered(event)
-            child_hash = hash(child)
-            child_id = self.append_child(parent_id, event, child_hash, child)
-            entry = ids_by_hash.get(child_hash)
-            if entry is None:
-                ids_by_hash[child_hash] = child_id
-            elif type(entry) is int:
-                ids_by_hash[child_hash] = [entry, child_id]
-            else:
-                entry.append(child_id)
-        self._seal_cold()
-        return ids_by_hash
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -715,8 +638,7 @@ class ArenaStore:
         del self._tail_parent[:]
         del self._tail_event[:]
         del self._tail_hash[:]
-        self._window.clear()
-        self._window_floor = 0
+        self._floor = 0
         self._pinned.clear()
         self._lru.clear()
         self._chunk_cache.clear()
@@ -750,7 +672,6 @@ class ArenaStore:
             "resident_blob_bytes": resident_blob_bytes,
             "spilled_bytes": self.spilled_bytes,
             "spill_disabled": self._spill_disabled,
-            "window": len(self._window),
             "lru": len(self._lru),
             "materialisations": self.materialisations,
             "chain_walks": self.chain_walks,

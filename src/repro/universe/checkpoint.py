@@ -12,11 +12,11 @@ Design: the checkpoint does **not** store configurations or hashes.  It
 stores the *merged discovery stream* — the sequence ``[(parent_id,
 event), ...]`` of first discoveries in global BFS order — plus the CSR
 successor arrays (dense ids only) and the completeness flag.  Replaying
-the stream into the arena
-(:meth:`repro.universe.arena.ArenaStore.replay`) rebuilds the packed
-columns and the content-hash id table (including collision-bucket
-layout) *exactly*, so exploration continues from the first unexpanded
-layer as if it had never stopped; the finished universe
+the stream (:meth:`repro.universe.frontier.Frontier.replay`) rebuilds
+the packed arena columns, the content-hash id table (including
+collision-bucket layout) and the frontier's row window *exactly*, so
+exploration continues from the first unexpanded layer as if it had
+never stopped; the finished universe
 is bit-identical to an uninterrupted run (asserted in
 ``tests/test_universe_checkpoint.py`` and, across whole-process SIGKILLs,
 in ``tests/test_universe_chaos.py``).
@@ -184,11 +184,15 @@ def _parse_version(raw: bytes) -> int:
 
 
 class ResumedExploration:
-    """What :meth:`CheckpointSession.try_resume` hands back to an engine."""
+    """What :meth:`CheckpointSession.try_resume` hands back to an engine:
+    the replayed :class:`~repro.universe.frontier.Frontier` the
+    exploration continues from, the first unexpanded id, the discovery
+    stream and the number of layers done."""
 
-    __slots__ = ("frontier_start", "stream", "layers")
+    __slots__ = ("frontier", "frontier_start", "stream", "layers")
 
-    def __init__(self, frontier_start, stream, layers) -> None:
+    def __init__(self, frontier, frontier_start, stream, layers) -> None:
+        self.frontier = frontier
         self.frontier_start = frontier_start
         self.stream = stream
         self.layers = layers
@@ -641,11 +645,11 @@ class CheckpointSession:
     ) -> ResumedExploration:
         """Rebuild ``universe``'s stores from a verified stream + CSR.
 
-        The replay goes straight into the packed columns
-        (:meth:`~repro.universe.arena.ArenaStore.replay`), recomputing
-        every content hash, so the rebuilt state is bit-identical; the
-        hot window advances with the stream, so resume memory stays
-        O(two layers).
+        One frontier replay (:meth:`~repro.universe.frontier.Frontier.replay`)
+        fills the arena columns and the content-hash table, recomputing
+        every content hash, so the rebuilt state is bit-identical; its
+        row window advances with the stream, so resume memory stays one
+        layer of rows, and the engine continues from that window.
         """
         if len(offsets) != frontier_start + 1:
             raise CheckpointError(
@@ -653,15 +657,16 @@ class CheckpointSession:
                 f"offsets for a frontier at {frontier_start}"
             )
         configurations = universe._configurations
-        ids_by_hash = configurations.replay(stream)
+        frontier = universe._root_frontier()
+        frontier.replay(
+            stream, store=configurations, table=universe._ids_by_hash
+        )
         if len(configurations) != count:
             raise CheckpointError(
                 f"checkpoint {self.path} replay desync: rebuilt "
                 f"{len(configurations)} configurations, file "
                 f"records {count}"
             )
-        universe._ids_by_hash.clear()
-        universe._ids_by_hash.update(ids_by_hash)
         del universe._succ_ids[:]
         universe._succ_ids.frombytes(succ_ids_bytes)
         del universe._succ_offsets[:]
@@ -674,7 +679,7 @@ class CheckpointSession:
         self._saved_count = count
         self._complete_at_save = complete
         self.resumed_from = frontier_start
-        return ResumedExploration(frontier_start, stream, layers)
+        return ResumedExploration(frontier, frontier_start, stream, layers)
 
     # -- commit --------------------------------------------------------
     def commit_layer(

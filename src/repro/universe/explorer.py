@@ -41,13 +41,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.core.configuration import (
-    _HASH_MODULUS,
-    _ROLL_MULTIPLIER,
-    _entry_hash,
-    EMPTY_CONFIGURATION,
-    Configuration,
-)
+from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
 from repro.core.errors import UniverseError
 from repro.core.events import Event, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
@@ -701,188 +695,41 @@ class Universe:
         session=None,
         rss_budget_mb: float | None = None,
     ) -> None:
-        """The exploration kernel: frontier BFS over *packed window rows*.
+        """The exploration kernel: frontier BFS over packed window rows.
 
-        The BFS works over append-only id buffers: the arena receives one
-        ``(parent id, event, hash)`` row per first discovery, the cursor
-        walks the ids one frontier batch at a time, and successors append
-        to the flat CSR arrays.  Per popped parent the enabled events are
-        table lookups — compiled local steps plus the memoised receive
-        set — and each candidate child is resolved against the
-        content-hash table with O(1) rolling hashes.  Keeping whole
-        layers of ``Configuration`` objects alive would dominate peak RSS
-        (at star n=8 two layers are ~474k objects of ~1.1 KB each), so
-        this kernel never builds child objects at all.  A window entry
-        is the 4-tuple
-
-            ``(row, content_hash, received, in_flight)``
-
-        where ``row`` is a fixed-width tuple of per-process histories in
-        ``ordered_processes`` order (``()`` for absent processes) and
-        the two message frozensets are interned per layer, so siblings
-        with equal channel contents share one set object.  Parents are
-        materialised transiently only on the slow paths (custom
-        enabling, enabling filters, ``max_events`` probes), and each
-        window entry is popped the moment its expansion completes, so a
-        consumed frontier prefix stops counting toward peak RSS
-        mid-layer instead of at the next boundary.  Dedup compares rows
-        elementwise — shared history tuples make those identity hits —
-        and the rare cross-layer content-hash collision falls back to
-        the arena's chain-walk materialisation.
-
-        Mid-layer eviction cannot alias the id-keyed entry memo: every
-        history tuple a parent can look up is held by a live window row,
-        and any tuple that reuses a freed address was itself a freshly
-        discovered child's ``new_history``, whose memo entry is
-        overwritten at creation.  The memo still rotates generations at
-        layer boundaries.  Projection/partition indexes are built lazily
-        after exploration, never inside this loop.
+        The BFS works over append-only id buffers: one
+        :class:`~repro.universe.frontier.Frontier` holds the rows of the
+        open frontier, the cursor walks its ids one BFS layer at a time,
+        and :meth:`Frontier.expand` turns each parent into its successor
+        ids — appending first discoveries to the arena as ``(parent id,
+        event, hash)`` rows and resolving duplicates against
+        ``_ids_by_hash`` — while the successor ids append to the flat CSR
+        arrays.  Each parent's row is popped the moment its expansion
+        starts, so a consumed frontier prefix stops counting toward peak
+        RSS mid-layer instead of at the next boundary.  No
+        ``Configuration`` object is built except transiently for the
+        protocol hooks that need one.  Projection/partition indexes are
+        built lazily after exploration, never inside this loop.
 
         ``tests/test_universe_oracle.py`` holds the kernel bit-identical
         (ids, successor rows, completeness) to a naive ``enabled_events``
         BFS on every bundled protocol, both engines and every resume
         layer.
         """
-        arena: ArenaStore = self._configurations
-        ids_by_hash = self._ids_by_hash
-        succ_ids = self._succ_ids
-        succ_offsets = self._succ_offsets
-        protocol = self._protocol
-        max_events = self._max_events
-        bound_error: str | None = None
-
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = protocol.ordered_processes
-        width = len(ordered)
-        index_of = {process: i for i, process in enumerate(ordered)}
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        initial_steps = {
-            process: steps_for(process, ()) for process in ordered
-        }
-        limit = max_configurations if max_configurations is not None else inf
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        seed_of = {
-            process: hash(process) % modulus for process in ordered
-        }
-        entry_hash_of: dict[int, int] = {}
-        entry_prev_get = {}.get
-        from_trusted = Configuration._from_trusted
-        # Per-layer frozenset intern table: channel contents repeat
-        # heavily across siblings, so the per-child ``received`` /
-        # ``in_flight`` sets collapse to a handful of shared objects.
-        # Rotated with the memo so it never outlives the rows that
-        # reference its sets.
-        interned: dict[frozenset, frozenset] = {}
-        intern = interned.setdefault
-
-        window: dict[int, tuple] = {}
-        empty_set: frozenset = frozenset()
-
-        def row_of(configuration: Configuration) -> tuple:
-            histories_get = configuration._histories.get
-            return tuple(histories_get(process, ()) for process in ordered)
-
-        def transient(entry: tuple) -> Configuration:
-            """A throwaway ``Configuration`` for the slow-path hooks."""
-            row, content_hash, received, in_flight = entry
-            items = {
-                process: history
-                for process, history in zip(ordered, row)
-                if history
-            }
-            configuration = from_trusted(items, content_hash, None)
-            cache = configuration.__dict__
-            cache["received_messages"] = received
-            cache["in_flight_messages"] = in_flight
-            return configuration
-
-        def row_matches(
-            candidate_id: int,
-            row: tuple,
-            position: int,
-            new_history: tuple,
-        ) -> bool:
-            """``candidate == parent`` with ``position → new_history``."""
-            entry = window.get(candidate_id)
-            if entry is not None:
-                candidate_row = entry[0]
-            else:
-                # Cross-layer content-hash collision: same-depth
-                # duplicates always live in the window, so this is the
-                # rare modulus collision — chain-walk the packed
-                # columns.
-                candidate_row = row_of(arena._get_hot(candidate_id))
-            theirs = candidate_row[position]
-            if theirs is not new_history and theirs != new_history:
-                return False
-            for j in range(width):
-                if j == position:
-                    continue
-                theirs = candidate_row[j]
-                ours = row[j]
-                if theirs is not ours and theirs != ours:
-                    return False
-            return True
-
         watchdog = None
         if rss_budget_mb is not None:
             from repro.universe.checkpoint import RssWatchdog
 
             watchdog = RssWatchdog(rss_budget_mb)
         self._rss_watchdog = watchdog
-        resumed = session.try_resume(self) if session is not None else None
-        if resumed is not None:
-            # try_resume replayed the stream into the packed columns;
-            # rebuild the kernel's row window for the open frontier and
-            # continue from the first unexpanded layer.  (The entry memo
-            # resumes empty and recomputes on miss.)
-            count = len(arena)
-            edges = len(succ_ids)
-            cursor = resumed.frontier_start
-            depth = 0
-            for index in range(cursor, count):
-                configuration = arena[index]
-                if index == cursor:
-                    # Every BFS edge appends one event, so the layer
-                    # depth is any frontier member's event count.
-                    depth = len(configuration)
-                received = configuration.received_messages
-                in_flight = configuration.in_flight_messages
-                window[index] = (
-                    row_of(configuration),
-                    hash(configuration),
-                    intern(received, received),
-                    intern(in_flight, in_flight),
-                )
-            # The replay's materialised objects are now redundant: the
-            # rows above carry the frontier from here on.
-            arena.retire(count)
-        else:
-            arena.append(EMPTY_CONFIGURATION)
-            root_hash = hash(EMPTY_CONFIGURATION)
-            ids_by_hash[root_hash] = 0
-            window[0] = (((),) * width, root_hash, empty_set, empty_set)
-            count = 1
-            edges = 0
-            cursor = 0
-            depth = 0
-        entry_memo_get = entry_hash_of.get
-        track = session is not None
-        layers_done = resumed.layers if resumed is not None else 0
-        self._arm_storage_faults(layers_done)
-        rss_truncated = False
+        frontier, cursor, layers, _ = self._open_frontier(session)
+        arena = self._configurations
+        ids_by_hash = self._ids_by_hash
+        succ_ids = self._succ_ids
+        succ_offsets = self._succ_offsets
+        limit = max_configurations if max_configurations is not None else inf
+        expand = frontier.expand
+        pop = frontier.window.pop
         # The kernel allocates millions of acyclic, long-lived objects and
         # creates no reference cycles of its own; CPython's generational
         # collector would rescan the growing universe on every threshold
@@ -890,218 +737,115 @@ class Universe:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            while cursor < count:
-                batch_end = count  # one BFS frontier batch
-                layer_records = [] if track else None
-                while cursor < batch_end:
-                    entry = window.pop(cursor)
-                    parent_id = cursor
+            while cursor < frontier.count:
+                layer_end = frontier.count
+                records = [] if session is not None else None
+                while cursor < layer_end:
+                    within = expand(
+                        cursor,
+                        pop(cursor),
+                        ids_by_hash,
+                        succ_ids,
+                        records,
+                        arena,
+                        limit,
+                    )
+                    succ_offsets.append(len(succ_ids))
                     cursor += 1
-                    if max_events is not None and depth >= max_events:
-                        if compiled_enabled(transient(entry)):
-                            self._complete = False
-                        succ_offsets.append(edges)
-                        continue
-                    row, parent_hash, received, in_flight = entry
-                    if custom_enabling:
-                        # The protocol restricts system-level enabling
-                        # beyond local steps + willing receives; its
-                        # override is authoritative.
-                        enabled = list(
-                            protocol.enabled_events(transient(entry))
-                        )
-                    else:
-                        enabled = []
-                        for position, process in enumerate(ordered):
-                            history = row[position]
-                            if not history:
-                                enabled += initial_steps[process]
-                            else:
-                                steps = by_history[process].get(history)
-                                enabled += (
-                                    steps
-                                    if steps is not None
-                                    else steps_for(process, history)
-                                )
-                        if in_flight:
-                            if not selective:
-                                enabled += receive_sets(in_flight)
-                            else:
-                                items = {
-                                    process: history
-                                    for process, history in zip(ordered, row)
-                                    if history
-                                }
-                                enabled += selective_receives(
-                                    items.get, in_flight
-                                )
-                        if enabling_filter is not None:
-                            enabled = enabling_filter(
-                                transient(entry), enabled
-                            )
-                    for event in enabled:
-                        process = event.process
-                        position = index_of[process]
-                        try:
-                            event_hash = event._hash_cache
-                        except AttributeError:
-                            event_hash = hash(event)
-                        old_history = row[position]
-                        if not old_history:
-                            new_history = (event,)
-                            new_entry = (
-                                seed_of[process] * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (parent_hash + new_entry) % modulus
-                        else:
-                            key = id(old_history)
-                            old_entry = entry_memo_get(key)
-                            if old_entry is None:
-                                old_entry = entry_prev_get(key)
-                                if old_entry is None:
-                                    old_entry = _entry_hash(
-                                        process, old_history
-                                    )
-                                entry_hash_of[key] = old_entry
-                            new_history = old_history + (event,)
-                            new_entry = (
-                                old_entry * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (
-                                parent_hash - old_entry + new_entry
-                            ) % modulus
-                        existing = ids_by_hash.get(child_hash)
-                        if existing is None:
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                        elif type(existing) is int:
-                            if row_matches(
-                                existing, row, position, new_history
-                            ):
-                                succ_ids.append(existing)
-                                edges += 1
-                                continue
-                            # content-hash collision: open the bucket
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                            ids_by_hash[child_hash] = [existing, child_id]
-                        else:
-                            for candidate_id in existing:
-                                if row_matches(
-                                    candidate_id, row, position, new_history
-                                ):
-                                    child_id = candidate_id
-                                    break
-                            else:
-                                if count >= limit:
-                                    bound_error = (
-                                        _BOUND_MESSAGE % max_configurations
-                                    )
-                                    break
-                                child_id = count
-                                existing.append(child_id)
-                            if child_id != count:
-                                succ_ids.append(child_id)
-                                edges += 1
-                                continue
-                        # First discovery: pack the columns, keep only the
-                        # row + message sets hot — no child object.
-                        if existing is None:
-                            ids_by_hash[child_hash] = child_id
-                        count += 1
-                        entry_hash_of[id(new_history)] = new_entry
-                        child_row = (
-                            row[:position] + (new_history,) + row[position + 1:]
-                        )
-                        # Inlined Configuration._propagate_caches over the
-                        # interned frozensets, kept exactly equal to the
-                        # lazy definitions (including the degenerate
-                        # re-send of an already-received message).
-                        if isinstance(event, SendEvent):
-                            message = event.message
-                            child_received = received
-                            if message in received:
-                                child_in_flight = in_flight
-                            else:
-                                new_set = in_flight | {message}
-                                child_in_flight = intern(new_set, new_set)
-                        elif isinstance(event, ReceiveEvent):
-                            message = event.message
-                            new_set = received | {message}
-                            child_received = intern(new_set, new_set)
-                            new_set = in_flight - {message}
-                            child_in_flight = intern(new_set, new_set)
-                        else:
-                            child_received = received
-                            child_in_flight = in_flight
-                        window[child_id] = (
-                            child_row,
-                            child_hash,
-                            child_received,
-                            child_in_flight,
-                        )
-                        arena.append_child(parent_id, event, child_hash, None)
-                        succ_ids.append(child_id)
-                        edges += 1
-                        if track:
-                            layer_records.append((parent_id, event))
-                    succ_offsets.append(edges)
-                    if bound_error is not None:
-                        break
-                if bound_error is not None:
-                    # Mid-layer stop: the checkpoint keeps the previous
-                    # (complete) layer boundary, never a torn layer.
-                    break
-                layers_done += 1
-                self._arm_storage_faults(layers_done)
-                if track:
-                    session.commit_layer(
-                        layer_records,
-                        batch_end,
-                        self,
-                        final=cursor >= count,
-                    )
-                # Advance the arena floor (seals + compresses full cold
-                # chunks) and rotate the generation-scoped memos.
-                arena.retire(batch_end)
-                entry_prev_get = entry_hash_of.get
-                entry_hash_of = {}
-                entry_memo_get = entry_hash_of.get
-                interned = {}
-                intern = interned.setdefault
-                depth += 1
-                if watchdog is not None and cursor < count and watchdog.exceeded():
-                    # Graceful degradation ladder: spill the cold tier to
-                    # disk first; only truncate if that doesn't bring RSS
-                    # back under budget.
-                    if arena.spill_cold() and not watchdog.exceeded():
-                        self._recovery_log.record(
-                            "rss_budget",
-                            "spill",
-                            detail=f"{count} configurations",
-                        )
-                        continue
-                    self._recovery_log.record(
-                        "rss_budget",
-                        "truncate",
-                        detail=f"{count} configurations",
-                    )
-                    rss_truncated = True
+                    if not within:
+                        self._stop_at_bound(max_configurations, on_limit)
+                        return
+                layers += 1
+                if self._end_layer(
+                    frontier, layer_end, layers, records, session, watchdog
+                ):
                     break
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if bound_error is not None and on_limit == "raise":
-            raise UniverseError(bound_error)
-        if bound_error is not None or rss_truncated:
-            self._complete = False
-            # Unexpanded frontier configurations keep empty successor rows.
-            while len(succ_offsets) < len(arena) + 1:
-                succ_offsets.append(len(succ_ids))
+            if frontier.incomplete:
+                self._complete = False
+
+    def _open_frontier(self, session):
+        """The frontier exploration starts from: the checkpoint's last
+        layer when ``session`` resumes one, else the empty configuration
+        alone.  Returns ``(frontier, first unexpanded id, layers done,
+        discovery stream so far)``."""
+        resumed = session.try_resume(self) if session is not None else None
+        if resumed is None:
+            frontier = self._root_frontier()
+            start, layers, stream = 0, 0, []
+        else:
+            frontier = resumed.frontier
+            start, layers, stream = (
+                resumed.frontier_start,
+                resumed.layers,
+                resumed.stream,
+            )
+            frontier.retire(start)
+            self._configurations.retire(start)
+        self._arm_storage_faults(layers)
+        return frontier, start, layers, stream
+
+    def _root_frontier(self):
+        """Reset the stores to the empty configuration alone (id 0) and
+        return its frontier."""
+        from repro.universe.frontier import Frontier
+
+        arena = self._configurations
+        arena.clear()
+        arena.append(EMPTY_CONFIGURATION)
+        self._ids_by_hash.clear()
+        self._ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
+        return Frontier(self._protocol, self._max_events, arena)
+
+    def _end_layer(
+        self, frontier, layer_end, layers, records, session, watchdog
+    ) -> bool:
+        """Close BFS layer number ``layers`` (its parents end at
+        ``layer_end``), for either engine: arm the storage faults due,
+        commit the layer's discovery ``records`` to the checkpoint, seal
+        the consumed arena chunks and rotate the frontier's memos, then
+        walk the RSS ladder (spill the cold tier, else truncate).
+        Returns ``True`` when exploration stops here: the layer found
+        nothing new, or the watchdog truncated."""
+        arena = self._configurations
+        self._arm_storage_faults(layers)
+        final = frontier.count == layer_end
+        if session is not None:
+            session.commit_layer(records, layer_end, self, final=final)
+        arena.retire(layer_end)
+        frontier.rotate()
+        if final or watchdog is None or not watchdog.exceeded():
+            return final
+        detail = f"{frontier.count} configurations"
+        if arena.spill_cold() and not watchdog.exceeded():
+            self._recovery_log.record(
+                "rss_budget", "spill", layer=layers, detail=detail
+            )
+            return False
+        self._recovery_log.record(
+            "rss_budget", "truncate", layer=layers, detail=detail
+        )
+        self._truncate()
+        return True
+
+    def _stop_at_bound(self, max_configurations, on_limit: str) -> None:
+        """A new configuration would pass ``max_configurations``: raise,
+        or keep the partial universe (the checkpoint keeps the previous,
+        complete layer boundary — never a torn layer)."""
+        if on_limit == "raise":
+            raise UniverseError(_BOUND_MESSAGE % max_configurations)
+        self._truncate()
+
+    def _truncate(self) -> None:
+        """Mark the universe partial; unexpanded frontier configurations
+        keep empty successor rows."""
+        self._complete = False
+        succ_offsets = self._succ_offsets
+        edges = len(self._succ_ids)
+        while len(succ_offsets) < len(self._configurations) + 1:
+            succ_offsets.append(edges)
 
     def _id_of(self, configuration: Configuration) -> int | None:
         """Dense id of ``configuration``, or ``None`` if not a member."""
@@ -1683,9 +1427,7 @@ class EnumeratedUniverse(Universe):
                 if len(history) != len(parent.history(process)):
                     event = history[-1]
                     break
-            store.append_child(
-                parent_of[index], event, hash(configuration), configuration
-            )
+            store.append_child(parent_of[index], event, hash(configuration))
         self._configurations = store
 
     @property

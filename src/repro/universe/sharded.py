@@ -12,51 +12,44 @@ what makes the frontier partitionable:
   *content hash* (``hash % K`` — shard-stable because the rolling content
   hash is a pure function of the configuration, see
   :mod:`repro.core.configuration`);
-* worker ``w`` expands the parents of its shard: compiled-table enabled
-  events, rolling child hashes, and *local* duplicate resolution with the
-  same structural checks the kernel performs (transient children are
-  materialised per locally-distinct candidate so hash collisions are
-  detected exactly, not probabilistically);
-* workers ship per-parent **edge batches** — a duplicate edge is one
-  ``int`` (the index of the worker-local candidate it collapsed into), a
-  candidate-new edge is ``(event, child_hash)``; the batch is packed with
-  the shared batch codec (:func:`repro.universe.arena.compress_batch`)
-  in the worker and framed with a CRC-32 so a corrupted payload is
-  rejected before it is ever inflated or unpickled;
+* worker ``w`` expands the parents of its shard with the kernel's own
+  step (:meth:`repro.universe.frontier.Frontier.expand`) against a
+  layer-local hash table, so duplicates within the shard collapse by the
+  same row comparison the kernel uses;
+* workers ship one **edge batch** per layer — per owned parent its
+  successors as shard-local candidate ids, plus the discovery event and
+  content hash of each candidate — packed with the shared batch codec
+  (:func:`repro.universe.arena.compress_batch`) in the worker and framed
+  with a CRC-32 so a corrupted payload is rejected before it is ever
+  inflated or unpickled;
 * the coordinator merges the batches *in global BFS order* (ascending
-  parent id, original enabled-event order within a parent), resolving
-  cross-worker duplicates against its authoritative id table with the
-  kernel's own dedup logic, constructing each first-discovered child
-  exactly once (:func:`repro.universe.arena._materialise_child`) into
-  the arena, and appending the CSR successor rows;
+  parent id, original enabled-event order within a parent) on its own
+  :class:`~repro.universe.frontier.Frontier`: each candidate's packed
+  row is resolved against the universe's hash table by row comparison
+  and admitted — arena record, hash bucket, window row — only when it
+  is new to every worker;
 * the merged discovery stream ``[(parent_id, event), ...]`` is broadcast
-  back (batch-compressed once, sent ``K`` times) and every worker replays
-  it to keep its replica bit-identical to the coordinator's frontier.
+  back (batch-compressed once, sent ``K`` times) and every worker
+  replays it (:meth:`~repro.universe.frontier.Frontier.replay`) so its
+  window holds exactly the coordinator's next frontier.
 
-Worker replicas are **packed** (:class:`_PackedReplica`), and there is
-no other kind: because shard expansion only ever reads the *current*
-frontier layer — batch dedup is layer-local by the uniform-event-count
-argument above, and cross-layer collisions are resolved
-coordinator-side — a replica keeps no ``Configuration`` objects and no
-id table at all.  Its state is one window of packed history rows
-(fixed-width tuples in ``ordered_processes`` order, exactly the
-representation of the kernel ``Universe._explore_packed``) plus
-per-layer-interned received/in-flight message frozensets; replaying the
-discovery stream advances the window floor parent-by-parent, so
-replaying the *full* stream after a respawn still peaks at one layer of
-rows.
+A worker keeps no ``Configuration`` objects and no universe-wide id
+table: its state is one frontier window of packed rows, and replaying
+the stream drops rows as the stream's (non-decreasing) parent ids move
+past them, so replaying the *full* stream after a respawn still peaks
+at one layer of rows.
 
-Determinism: the coordinator replay *is* the kernel's inner loop fed by a
-pre-computed enabled-event stream, so the resulting universe — dense ids,
-CSR successor arrays, hash table (including collision buckets),
+Determinism: every process runs the same frontier step and the merge
+assigns ids in the kernel's order, so the resulting universe — dense
+ids, CSR successor arrays, hash table (including collision buckets),
 completeness flag, truncation point under ``on_limit="truncate"`` — is
-bit-identical to single-process exploration.  The test suite asserts this
-on star/tree/ring broadcast, token bus, ping-pong and custom-enabling
-protocols.
+bit-identical to single-process exploration.
+``tests/test_universe_sharded.py`` and ``tests/test_universe_oracle.py``
+assert this.
 
-Fault tolerance (PR 6).  The coordinator never blocks on a bare
-``recv()``: every wait is a bounded ``multiprocessing.connection.wait``
-poll, workers send heartbeats while expanding (every
+Fault tolerance.  The coordinator never blocks on a bare ``recv()``:
+every wait is a bounded ``multiprocessing.connection.wait`` poll,
+workers send heartbeats while expanding (every
 ``SupervisionPolicy.heartbeat_parents`` parents and every
 ``heartbeat_records`` replayed records), and a worker that crashes
 (``EOFError``/``BrokenPipeError``), hangs (heartbeat timeout) or ships a
@@ -68,25 +61,29 @@ columns (:meth:`~repro.universe.arena.ArenaStore.records`), so the
 coordinator either
 
 * **respawns** a replacement worker and feeds it the full reconstructed
-  stream as its first replay (the replacement rebuilds the replica and
+  stream as its first replay (the replacement rebuilds its window and
   re-expands the failed layer shard — bit-identical by construction), or
 * once the respawn budget (``SupervisionPolicy.max_respawns``) is spent,
-  **folds** the dead worker's shard into itself: an in-process
-  :class:`_PackedReplica`, fed the same stream a replacement worker
-  would get, expands that shard for the rest of the run.  The shard
-  *assignment* (``hash % K``) never changes — only who executes a
-  shard — which is exactly why recovery cannot perturb the result.
+  **folds** the dead worker's shard into itself: the coordinator's own
+  frontier already holds the layer, so it expands that shard in-process
+  for the rest of the run.  The shard *assignment* (``hash % K``) never
+  changes — only who executes a shard — which is exactly why recovery
+  cannot perturb the result.
 
 Worker-side exceptions are shipped as structured error frames (type,
 message, original traceback) and re-raised by the coordinator as
 :class:`WorkerError` — deterministic application errors are *not*
-retried, because a replacement would fail identically.
+retried, because a replacement would fail identically.  A worker whose
+coordinator dies sees end-of-file on its pipe and exits: it closes every
+coordinator-side pipe end the fork handed it, so the dead coordinator's
+end is the only one that was open.
 
 Deterministic fault injection (:mod:`repro.universe.faults`) threads
 through ``_worker_main`` so every one of these recovery paths is
 exercised by tests and by ``repro bench --suite fault-recovery``;
 layer-boundary checkpointing and the RSS watchdog
-(:mod:`repro.universe.checkpoint`) hook into the layer loop.
+(:meth:`repro.universe.explorer.Universe._end_layer`) close each layer
+exactly as in the kernel.
 
 Workers are forked (``multiprocessing`` ``"fork"`` context): the protocol
 object and its :class:`~repro.universe.protocol.CompiledStepTable` are
@@ -111,32 +108,11 @@ from dataclasses import dataclass
 from math import inf
 from multiprocessing.connection import wait as _connection_wait
 
-from repro.core.configuration import (
-    _HASH_MODULUS,
-    _ROLL_MULTIPLIER,
-    _entry_hash,
-    EMPTY_CONFIGURATION,
-    Configuration,
-    hash_domain_token,
-)
+from repro.core.configuration import hash_domain_token
 from repro.core.errors import UniverseError
-from repro.core.events import ReceiveEvent, SendEvent
-from repro.universe.arena import (
-    _materialise_child,
-    compress_batch,
-    decompress_batch,
-)
-from repro.universe.recovery import RecoveryLog
-from repro.universe.retry import (
-    TRANSIENT_SPAWN_ERRNOS,
-    is_storage_error,
-    transient_spawn_error,
-)
-
-_BOUND_MESSAGE = (
-    "exploration exceeded %s configurations; raise the bound or shrink "
-    "the protocol"
-)
+from repro.universe.arena import compress_batch, decompress_batch
+from repro.universe.frontier import Frontier
+from repro.universe.retry import is_storage_error, transient_spawn_error
 
 _MAX_WORKERS = 64
 """Safety cap on the worker count (each worker replicates the frontier)."""
@@ -154,12 +130,6 @@ def resolve_workers(workers: int | None) -> int:
             f"workers must be <= {_MAX_WORKERS}, got {workers}"
         )
     return max(workers, 1)
-
-
-# Spawn-transient classification lives in the shared typed-retry module
-# now (PR 10); these aliases keep the original names importable.
-_TRANSIENT_SPAWN_ERRNOS = TRANSIENT_SPAWN_ERRNOS
-_transient_spawn_error = transient_spawn_error
 
 
 @dataclass(frozen=True)
@@ -248,387 +218,57 @@ class WorkerError(UniverseError):
         super().__init__(text)
 
 
-class _PackedReplica:
-    """A worker's *packed window* replica of the frontier.
+def _expand_shard(
+    frontier: Frontier,
+    layer_start: int,
+    layer_end: int,
+    shard: int,
+    shards: int,
+    progress=None,
+    progress_every: int = 0,
+):
+    """Expand ``shard``'s parents of the layer ``[layer_start,
+    layer_end)`` of ``frontier``: the batch a worker sends.
 
-    A shard worker only ever reads the layer it is expanding: batch
-    dedup is layer-local (every edge adds one event, so duplicates
-    collide within a layer), and the rare cross-layer content-hash
-    collision is resolved on the coordinator, which owns the id table.
-    So this replica keeps exactly one window of packed entries
+    Returns ``(records, candidates, incomplete)``: per owned parent, in
+    ascending id order, ``(parent_id, successors)`` where successors are
+    shard-local candidate ids (``layer_end`` is the first);
+    ``candidates[i]`` is ``(event, content hash)`` of candidate
+    ``layer_end + i``; ``incomplete`` is True iff a ``max_events``-capped
+    parent still had enabled events.
 
-        ``id -> (row, content_hash, received, in_flight)``
-
-    in the representation of the arena kernel
-    (:meth:`repro.universe.explorer.Universe._explore_packed`): ``row``
-    is a fixed-width tuple of per-process histories in
-    ``ordered_processes`` order (``()`` for absent processes), and the
-    message frozensets are interned per layer so siblings share set
-    objects.  :meth:`apply` replays the coordinator's merged discovery
-    stream into packed form, advancing the window floor as the stream's
-    (non-decreasing) parent ids move past entries — a full-stream replay
-    after a respawn therefore still peaks at one layer of rows.
-    :meth:`expand` enumerates exactly the kernel's enabled events
-    (compiled tables, selective receives, enabling filters via transient
-    materialisation) with the kernel's rolling child hashes.
-
-    The rolling entry-hash memo is id-keyed on history tuples and
-    rotates per :meth:`apply` generation, exactly as in the packed
-    kernel: every tuple a lookup can name is held by a live window row,
-    and a freshly allocated tuple that reuses a freed address has its
-    memo entry overwritten at creation, so eviction cannot alias.
+    The candidates are dropped from the window again — the merged stream
+    decides their ids — so the batch is a pure function of the frontier:
+    a worker, its replacement and the coordinator's fold produce the
+    same one.  ``progress`` (if given) is invoked every
+    ``progress_every`` owned parents — the worker-side heartbeat hook.
     """
-
-    __slots__ = (
-        "protocol",
-        "max_events",
-        "count",
-        "window",
-        "floor",
-        "entry_hash_of",
-        "entry_prev_get",
-        "interned",
-        "seed_of",
-        "initial_steps",
-        "ordered",
-        "index_of",
-        "width",
-    )
-
-    def __init__(self, protocol, max_events) -> None:
-        self.protocol = protocol
-        self.max_events = max_events
-        self.ordered = protocol.ordered_processes
-        self.width = len(self.ordered)
-        self.index_of = {
-            process: i for i, process in enumerate(self.ordered)
-        }
-        self.seed_of = {
-            process: hash(process) % _HASH_MODULUS
-            for process in self.ordered
-        }
-        table = protocol.step_table
-        self.initial_steps = {
-            process: table.steps(process, ()) for process in self.ordered
-        }
-        root_hash = hash(EMPTY_CONFIGURATION)
-        empty = frozenset()
-        self.window: dict[int, tuple] = {
-            0: (((),) * self.width, root_hash, empty, empty)
-        }
-        self.floor = 0
-        self.count = 1
-        self.entry_hash_of: dict[int, int] = {}
-        self.entry_prev_get = {}.get
-        self.interned: dict[frozenset, frozenset] = {}
-
-    def _transient(self, entry: tuple) -> Configuration:
-        """A throwaway ``Configuration`` for the slow-path hooks
-        (custom enabling, enabling filters, ``max_events`` probes)."""
-        row, content_hash, received, in_flight = entry
-        items = {
-            process: history
-            for process, history in zip(self.ordered, row)
-            if history
-        }
-        configuration = Configuration._from_trusted(items, content_hash, None)
-        cache = configuration.__dict__
-        cache["received_messages"] = received
-        cache["in_flight_messages"] = in_flight
-        return configuration
-
-    # -- replay ---------------------------------------------------------
-    def apply(self, records, progress=None, progress_every: int = 0) -> None:
-        """Replay a merged discovery stream ``[(parent_id, event), ...]``
-        into packed window entries.
-
-        Parent ids are non-decreasing in any discovery stream (children
-        are appended in global BFS order), so entries strictly below the
-        current parent can never be referenced again and are dropped as
-        the replay advances — the window floor.  Rotates the entry-hash
-        memo and the frozenset intern table: one ``apply`` + the
-        following ``expand`` form one generation.
-        """
-        window = self.window
-        index_of = self.index_of
-        seed_of = self.seed_of
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        # Rotate the generation-scoped memos (see class docstring).
-        self.entry_prev_get = self.entry_hash_of.get
-        entry_prev_get = self.entry_prev_get
-        entry_hash_of: dict[int, int] = {}
-        self.entry_hash_of = entry_hash_of
-        entry_memo_get = entry_hash_of.get
-        interned: dict[frozenset, frozenset] = {}
-        self.interned = interned
-        intern = interned.setdefault
-        floor = self.floor
-        count = self.count
-        since_progress = 0
-        # Layer tracking for full-stream replays (respawn recovery): a
-        # parent at or past `boundary` was itself created by this call,
-        # i.e. the stream crossed a BFS layer — rotate the memos there
-        # too, so a whole-universe replay keeps per-layer memo footprint.
-        boundary = count
-        for parent_id, event in records:
-            if parent_id >= boundary:
-                boundary = count
-                self.entry_prev_get = entry_hash_of.get
-                entry_prev_get = self.entry_prev_get
-                entry_hash_of = {}
-                self.entry_hash_of = entry_hash_of
-                entry_memo_get = entry_hash_of.get
-                interned = {}
-                self.interned = interned
-                intern = interned.setdefault
-            while floor < parent_id:
-                window.pop(floor, None)
-                floor += 1
-            row, parent_hash, received, in_flight = window[parent_id]
-            process = event.process
-            position = index_of[process]
-            try:
-                event_hash = event._hash_cache
-            except AttributeError:
-                event_hash = hash(event)
-            old_history = row[position]
-            if not old_history:
-                new_history = (event,)
-                new_entry = (
-                    seed_of[process] * multiplier + event_hash
-                ) % modulus
-                child_hash = (parent_hash + new_entry) % modulus
-            else:
-                key = id(old_history)
-                old_entry = entry_memo_get(key)
-                if old_entry is None:
-                    old_entry = entry_prev_get(key)
-                    if old_entry is None:
-                        old_entry = _entry_hash(process, old_history)
-                    entry_hash_of[key] = old_entry
-                new_history = old_history + (event,)
-                new_entry = (
-                    old_entry * multiplier + event_hash
-                ) % modulus
-                child_hash = (parent_hash - old_entry + new_entry) % modulus
-            entry_hash_of[id(new_history)] = new_entry
-            child_row = row[:position] + (new_history,) + row[position + 1:]
-            # Inlined Configuration._propagate_caches over the interned
-            # frozensets, exactly as in the packed kernel (including the
-            # degenerate re-send of an already-received message).
-            if isinstance(event, SendEvent):
-                message = event.message
-                child_received = received
-                if message in received:
-                    child_in_flight = in_flight
-                else:
-                    new_set = in_flight | {message}
-                    child_in_flight = intern(new_set, new_set)
-            elif isinstance(event, ReceiveEvent):
-                message = event.message
-                new_set = received | {message}
-                child_received = intern(new_set, new_set)
-                new_set = in_flight - {message}
-                child_in_flight = intern(new_set, new_set)
-            else:
-                child_received = received
-                child_in_flight = in_flight
-            window[count] = (
-                child_row,
-                child_hash,
-                child_received,
-                child_in_flight,
-            )
-            count += 1
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-        self.floor = floor
-        self.count = count
-
-    # -- expansion ------------------------------------------------------
-    def expand(
-        self,
-        layer_start: int,
-        layer_end: int,
-        shard: int,
-        shards: int,
-        progress=None,
-        progress_every: int = 0,
-    ):
-        """Expand this shard's parents of one frontier layer.
-
-        Returns ``(records, incomplete)``: per owned parent, in ascending
-        id order, ``(parent_id, edges)`` where ``edges`` is ``None`` for a
-        ``max_events``-capped parent, else a list whose elements are
-        either an ``int`` (duplicate of the batch-local candidate with
-        that index) or ``(event, child_hash)`` (candidate-new edge, first
-        local discovery).  ``incomplete`` is True iff a capped parent
-        still had enabled events (the kernel's completeness rule).
-        Operates on packed rows, materialising transient configurations
-        only on the slow paths.
-
-        ``progress`` (if given) is invoked every ``progress_every``
-        *owned* parents — the worker-side heartbeat hook.
-        """
-        protocol = self.protocol
-        max_events = self.max_events
-        window = self.window
-        # Entries below the frontier are dead (their children are built);
-        # drop any stragglers the last replay's floor left behind.
-        floor = self.floor
-        while floor < layer_start:
-            window.pop(floor, None)
-            floor += 1
-        self.floor = floor
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = self.ordered
-        width = self.width
-        index_of = self.index_of
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        initial_steps = self.initial_steps
-        transient = self._transient
-        seed_of = self.seed_of
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        entry_hash_of = self.entry_hash_of
-        entry_memo_get = entry_hash_of.get
-        entry_prev_get = self.entry_prev_get
-
-        # Every BFS edge appends one event, so the layer depth is any
-        # frontier member's total event count.
-        depth = None
-        if max_events is not None and layer_start < layer_end:
-            depth = sum(map(len, window[layer_start][0]))
-
-        records = []
-        incomplete = False
-        candidates = 0
-        since_progress = 0
-        # Batch-local candidate table: child_hash -> [(index, row)].
-        # Candidate rows are compared elementwise — shared history tuples
-        # make those identity hits — so local duplicate edges get the
-        # kernel's structural check, not a hash-only equality.
-        layer_candidates: dict[int, list] = {}
-        for parent_id in range(layer_start, layer_end):
-            entry = window[parent_id]
-            row, parent_hash, received, in_flight = entry
-            if parent_hash % shards != shard:
-                continue
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-            if depth is not None and depth >= max_events:
-                if compiled_enabled(transient(entry)):
-                    incomplete = True
-                records.append((parent_id, None))
-                continue
-            if custom_enabling:
-                enabled = list(protocol.enabled_events(transient(entry)))
-            else:
-                enabled = []
-                for position, process in enumerate(ordered):
-                    history = row[position]
-                    if not history:
-                        enabled += initial_steps[process]
-                    else:
-                        steps = by_history[process].get(history)
-                        enabled += (
-                            steps
-                            if steps is not None
-                            else steps_for(process, history)
-                        )
-                if in_flight:
-                    if not selective:
-                        enabled += receive_sets(in_flight)
-                    else:
-                        items = {
-                            process: history
-                            for process, history in zip(ordered, row)
-                            if history
-                        }
-                        enabled += selective_receives(items.get, in_flight)
-                if enabling_filter is not None:
-                    enabled = enabling_filter(transient(entry), enabled)
-            edges: list = []
-            for event in enabled:
-                process = event.process
-                position = index_of[process]
-                try:
-                    event_hash = event._hash_cache
-                except AttributeError:
-                    event_hash = hash(event)
-                old_history = row[position]
-                if not old_history:
-                    new_history = (event,)
-                    new_entry = (
-                        seed_of[process] * multiplier + event_hash
-                    ) % modulus
-                    child_hash = (parent_hash + new_entry) % modulus
-                else:
-                    key = id(old_history)
-                    old_entry = entry_memo_get(key)
-                    if old_entry is None:
-                        old_entry = entry_prev_get(key)
-                        if old_entry is None:
-                            old_entry = _entry_hash(process, old_history)
-                        entry_hash_of[key] = old_entry
-                    new_history = old_history + (event,)
-                    new_entry = (
-                        old_entry * multiplier + event_hash
-                    ) % modulus
-                    child_hash = (
-                        parent_hash - old_entry + new_entry
-                    ) % modulus
-                bucket = layer_candidates.get(child_hash)
-                if bucket is not None:
-                    resolved = None
-                    for candidate_index, candidate_row in bucket:
-                        theirs = candidate_row[position]
-                        if theirs is not new_history and theirs != new_history:
-                            continue
-                        for j in range(width):
-                            if j == position:
-                                continue
-                            theirs = candidate_row[j]
-                            ours = row[j]
-                            if theirs is not ours and theirs != ours:
-                                break
-                        else:
-                            resolved = candidate_index
-                            break
-                    if resolved is not None:
-                        edges.append(resolved)
-                        continue
-                candidate_row = (
-                    row[:position] + (new_history,) + row[position + 1:]
-                )
-                if bucket is None:
-                    layer_candidates[child_hash] = [
-                        (candidates, candidate_row)
-                    ]
-                else:
-                    bucket.append((candidates, candidate_row))
-                edges.append((event, child_hash))
-                candidates += 1
-            records.append((parent_id, edges))
-        return records, incomplete
+    frontier.retire(layer_start)
+    frontier.incomplete = False
+    window = frontier.window
+    expand = frontier.expand
+    table: dict = {}
+    discoveries: list = []
+    records = []
+    since_progress = 0
+    for parent_id in range(layer_start, layer_end):
+        entry = window[parent_id]
+        if entry[1] % shards != shard:
+            continue
+        if progress is not None:
+            since_progress += 1
+            if since_progress >= progress_every:
+                since_progress = 0
+                progress()
+        successors: list[int] = []
+        expand(parent_id, entry, table, successors, discoveries)
+        records.append((parent_id, successors))
+    candidates = [
+        (event, window.pop(candidate_id)[1])
+        for candidate_id, (_, event) in enumerate(discoveries, layer_end)
+    ]
+    frontier.count = layer_end
+    return records, candidates, frontier.incomplete
 
 
 # ---------------------------------------------------------------------
@@ -673,6 +313,7 @@ def _worker_peak_rss_mb() -> float | None:
 
 def _worker_main(
     connection,
+    inherited,
     protocol,
     shard,
     shards,
@@ -684,10 +325,16 @@ def _worker_main(
 ):
     """Body of one shard worker process.
 
+    ``inherited`` are the coordinator-side pipe ends the fork copied into
+    this process (its own and every live sibling's); they are closed
+    first, so when the coordinator dies — even by SIGKILL — nothing else
+    holds its end open and ``recv`` sees end-of-file.
     ``fault_actions`` is a list of :meth:`repro.universe.faults.Fault.as_wire`
     tuples scoped to this worker — deterministic fault injection for the
     recovery test matrix; empty in production use.
     """
+    for coordinator_end in inherited:
+        coordinator_end.close()
     gc.disable()
     faults_by_layer: dict[int, list] = {}
     for kind, layer, seconds in fault_actions:
@@ -709,7 +356,7 @@ def _worker_main(
                 "or a pinned PYTHONHASHSEED)",
             )
             return
-        replica = _PackedReplica(protocol, max_events)
+        frontier = Frontier(protocol, max_events)
         while True:
             message = connection.recv()
             kind = message[0]
@@ -732,20 +379,21 @@ def _worker_main(
                     # kill or a segfault.
                     os._exit(17)
             heartbeat()
-            replica.apply(
+            frontier.replay(
                 decompress_batch(blob),
                 progress=heartbeat,
                 progress_every=heartbeat_records,
             )
-            if replica.count != layer_end:
+            if frontier.count != layer_end:
                 _send_error(
                     connection,
                     None,
-                    f"replica desync: {replica.count} "
+                    f"replica desync: {frontier.count} "
                     f"configurations, expected {layer_end}",
                 )
                 return
-            batch, incomplete = replica.expand(
+            batch = _expand_shard(
+                frontier,
                 layer_start,
                 layer_end,
                 shard,
@@ -756,7 +404,7 @@ def _worker_main(
             # Batch-compressed with the shared codec: the CRC guards the
             # compressed frame, so corruption is rejected before either
             # inflate or unpickle sees the bytes.
-            frame = compress_batch((batch, incomplete))
+            frame = compress_batch(batch)
             crc = zlib.crc32(frame)
             drop = False
             for fault_kind, seconds in actions:
@@ -780,13 +428,19 @@ class _GatherState:
     """Mutable per-layer gather bookkeeping shared by the broadcast,
     gather and failover paths."""
 
-    __slots__ = ("pending", "batches", "last_seen", "incomplete")
+    __slots__ = ("pending", "batches", "candidates", "last_seen", "incomplete")
 
     def __init__(self, workers: int) -> None:
         self.pending: set[int] = set()
         self.batches: list = [None] * workers
+        self.candidates: list = [None] * workers
         self.last_seen: dict[int, float] = {}
         self.incomplete = False
+
+    def take(self, shard: int, batch) -> None:
+        """File one shard's ``(records, candidates, incomplete)`` batch."""
+        self.batches[shard], self.candidates[shard], incomplete = batch
+        self.incomplete |= incomplete
 
 
 class ShardedExplorer:
@@ -824,11 +478,11 @@ class ShardedExplorer:
         self._processes: list = [None] * workers
         self._alive: list[bool] = [False] * workers
         self._respawns_left = self._policy.resolve_respawns(workers)
-        self._fallback: _PackedReplica | None = None
+        self._frontier: Frontier | None = None
         self._stream_blob: tuple[int, bytes] | None = None
         self._context = None
         self._token = None
-        self.recovery_log: list[dict] = []
+        self.recovery_log = None
         self.worker_peak_rss_mb: dict[int, float] = {}
 
     # -- process lifecycle ---------------------------------------------
@@ -847,8 +501,15 @@ class ShardedExplorer:
             else []
         )
         parent_end, child_end = self._context.Pipe(duplex=True)
+        inherited = [
+            connection
+            for connection in self._connections
+            if connection is not None
+        ]
+        inherited.append(parent_end)
         worker_args = (
             child_end,
+            inherited,
             self._protocol,
             shard,
             self._workers,
@@ -869,21 +530,18 @@ class ShardedExplorer:
                     break
                 except OSError as error:
                     if (
-                        not _transient_spawn_error(error)
+                        not transient_spawn_error(error)
                         or attempt == self._policy.spawn_attempts
                     ):
                         raise
-                    self.recovery_log.append(
-                        {
-                            "shard": shard,
-                            "layer": None,
-                            "kind": "spawn",
-                            "action": "retry",
-                            "detail": (
-                                f"attempt {attempt}/"
-                                f"{self._policy.spawn_attempts}: {error}"
-                            ),
-                        }
+                    self.recovery_log.record(
+                        "spawn",
+                        "retry",
+                        shard=shard,
+                        detail=(
+                            f"attempt {attempt}/"
+                            f"{self._policy.spawn_attempts}: {error}"
+                        ),
                     )
                     time.sleep(delay)
                     delay *= 2
@@ -952,24 +610,16 @@ class ShardedExplorer:
         self._stream_blob = (layer_end, blob)
         return blob
 
-    def _fold_shard(
-        self, universe, shard: int, layer_start: int, layer_end: int
-    ):
+    def _fold_shard(self, shard: int, layer_start: int, layer_end: int):
         """Expand ``shard`` in the coordinator — the no-respawn fallback.
 
-        An in-process packed replica, fed the same stream a respawned
-        worker gets (the arena's discovery records it has not seen yet),
-        re-derives exactly the batch the worker would have sent — shard
-        expansion is a pure function of the stream."""
-        fallback = self._fallback
-        if fallback is None:
-            fallback = _PackedReplica(self._protocol, self._max_events)
-            self._fallback = fallback
-        if fallback.count < layer_end:
-            fallback.apply(
-                universe._configurations.records(fallback.count, layer_end)
-            )
-        return fallback.expand(layer_start, layer_end, shard, self._workers)
+        The coordinator's own frontier holds the layer a worker's replay
+        would rebuild, so expanding the shard there re-derives exactly
+        the batch the worker would have sent."""
+        self._frontier.forget_hashes()
+        return _expand_shard(
+            self._frontier, layer_start, layer_end, shard, self._workers
+        )
 
     def _recover(
         self,
@@ -995,14 +645,12 @@ class ShardedExplorer:
             except OSError as error:
                 # The host refused us a replacement process even after
                 # the bounded retries; fold the shard instead of dying.
-                self.recovery_log.append(
-                    {
-                        "layer": layer,
-                        "shard": shard,
-                        "kind": failure.kind,
-                        "action": "respawn-failed",
-                        "detail": f"spawn: {error}",
-                    }
+                self.recovery_log.record(
+                    failure.kind,
+                    "respawn-failed",
+                    layer=layer,
+                    shard=shard,
+                    detail=f"spawn: {error}",
                 )
                 self._recover(
                     universe,
@@ -1026,14 +674,12 @@ class ShardedExplorer:
             except (BrokenPipeError, OSError) as error:
                 # The replacement died before taking the job; recurse —
                 # bounded by the respawn budget, then folds.
-                self.recovery_log.append(
-                    {
-                        "layer": layer,
-                        "shard": shard,
-                        "kind": failure.kind,
-                        "action": "respawn-failed",
-                        "detail": str(error),
-                    }
+                self.recovery_log.record(
+                    failure.kind,
+                    "respawn-failed",
+                    layer=layer,
+                    shard=shard,
+                    detail=str(error),
                 )
                 self._recover(
                     universe,
@@ -1046,30 +692,22 @@ class ShardedExplorer:
                 return
             state.pending.add(shard)
             state.last_seen[shard] = time.monotonic()
-            self.recovery_log.append(
-                {
-                    "layer": layer,
-                    "shard": shard,
-                    "kind": failure.kind,
-                    "action": "respawn",
-                    "detail": failure.detail,
-                }
+            self.recovery_log.record(
+                failure.kind,
+                "respawn",
+                layer=layer,
+                shard=shard,
+                detail=failure.detail,
             )
             return
         state.pending.discard(shard)
-        records, incomplete = self._fold_shard(
-            universe, shard, layer_start, layer_end
-        )
-        state.batches[shard] = records
-        state.incomplete |= incomplete
-        self.recovery_log.append(
-            {
-                "layer": layer,
-                "shard": shard,
-                "kind": failure.kind,
-                "action": "fold",
-                "detail": failure.detail,
-            }
+        state.take(shard, self._fold_shard(shard, layer_start, layer_end))
+        self.recovery_log.record(
+            failure.kind,
+            "fold",
+            layer=layer,
+            shard=shard,
+            detail=failure.detail,
         )
 
     # -- layer exchange -------------------------------------------------
@@ -1090,11 +728,9 @@ class ShardedExplorer:
         for shard in range(self._workers):
             if not self._alive[shard]:
                 # Permanently folded shard: the coordinator does the work.
-                records, incomplete = self._fold_shard(
-                    universe, shard, layer_start, layer_end
+                state.take(
+                    shard, self._fold_shard(shard, layer_start, layer_end)
                 )
-                state.batches[shard] = records
-                state.incomplete |= incomplete
                 continue
             try:
                 self._connections[shard].send(
@@ -1180,9 +816,7 @@ class ShardedExplorer:
                         layer,
                     )
                     continue
-                records, incomplete = decompress_batch(frame)
-                state.batches[shard] = records
-                state.incomplete |= incomplete
+                state.take(shard, decompress_batch(frame))
                 state.pending.discard(shard)
             for shard in sorted(state.pending):
                 if now - state.last_seen[shard] > policy.heartbeat_timeout:
@@ -1228,37 +862,33 @@ class ShardedExplorer:
                 "start method (content hashes depend on the interpreter's "
                 "hash seed, which fork inherits)"
             ) from error
-        # Warm the root's message-set caches before forking so the
-        # propagate chain is unbroken in every process, as in the kernel.
-        EMPTY_CONFIGURATION.received_messages
-        EMPTY_CONFIGURATION.in_flight_messages
         self._token = hash_domain_token()
-        # Share the universe's structured log so worker-failover rungs,
-        # checkpoint salvage events and storage degradations interleave
-        # on one monotonic sequence; fall back to our own list when
-        # driven outside a Universe.
-        recovery = getattr(universe, "_recovery_log", None)
-        if recovery is None:
-            recovery = RecoveryLog()
-            universe._recovery_log = recovery
-        self.recovery_log = recovery
+        # Worker-failover rungs, checkpoint salvage events and storage
+        # degradations interleave on the universe's one log.
+        self.recovery_log = universe._recovery_log
         watchdog = None
         if rss_budget_mb is not None:
             from repro.universe.checkpoint import RssWatchdog
 
             watchdog = RssWatchdog(rss_budget_mb, self._worker_pids)
         universe._rss_watchdog = watchdog
-        resumed = checkpoint.try_resume(universe) if checkpoint else None
+        frontier, layer_start, layers, replay = universe._open_frontier(
+            checkpoint
+        )
+        self._frontier = frontier
         try:
             for shard in range(self._workers):
                 self._spawn(shard)
             self._explore_loop(
                 universe,
+                frontier,
+                layer_start,
+                layers,
+                replay,
                 max_configurations,
                 on_limit,
                 checkpoint,
                 watchdog,
-                resumed,
             )
             for shard in range(self._workers):
                 if self._alive[shard]:
@@ -1269,6 +899,7 @@ class ShardedExplorer:
             self._collect_farewells()
             universe._worker_peak_rss_mb = dict(self.worker_peak_rss_mb)
         finally:
+            self._frontier = None
             self._teardown()
 
     def _collect_farewells(self) -> None:
@@ -1300,49 +931,37 @@ class ShardedExplorer:
     def _explore_loop(
         self,
         universe,
+        frontier: Frontier,
+        layer_start: int,
+        layers: int,
+        replay: list,
         max_configurations,
         on_limit,
         checkpoint,
         watchdog,
-        resumed,
     ) -> None:
-        """The coordinator side: broadcast, gather, merge, repeat."""
+        """The coordinator side: broadcast, gather, merge, repeat.
+
+        ``replay`` is the discovery stream the workers have not seen yet:
+        empty for a fresh run, the whole restored stream after a resume.
+        """
         workers = self._workers
         arena = universe._configurations
-        lookup = arena._get_hot
         ids_by_hash = universe._ids_by_hash
         succ_ids = universe._succ_ids
         succ_offsets = universe._succ_offsets
         limit = max_configurations if max_configurations is not None else inf
-
-        if resumed is not None:
-            count = len(arena)
-            edges = len(succ_ids)
-            layer_start = resumed.frontier_start
-            layer = resumed.layers
-            # Fresh replicas rebuild from the root: the first replay blob
-            # is the full restored stream, not one layer's.
-            replay: list = resumed.stream
-        else:
-            arena.append(EMPTY_CONFIGURATION)
-            ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
-            count = 1
-            edges = 0
-            layer_start = 0
-            layer = 0
-            replay = []  # previous layer's merged discovery stream
-        arm_storage = getattr(universe, "_arm_storage_faults", None)
-        if arm_storage is not None:
-            arm_storage(layer)
-        bound_error: str | None = None
-        rss_truncated = False
+        pop = frontier.window.pop
+        index_of = frontier.index_of
+        find = frontier.find
+        admit = frontier.admit
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            while True:
-                layer_end = count
+            while layer_start < frontier.count:
+                layer_end = frontier.count
                 state = self._exchange_layer(
-                    universe, replay, layer_start, layer_end, layer
+                    universe, replay, layer_start, layer_end, layers
                 )
                 if state.incomplete:
                     universe._complete = False
@@ -1353,11 +972,8 @@ class ShardedExplorer:
                 # in batch order as the merge walks the layer.
                 candidate_ids: list[list[int]] = [[] for _ in range(workers)]
                 for parent_id in range(layer_start, layer_end):
-                    parent = lookup(parent_id)
-                    parent_hash = parent._hash
-                    if parent_hash is None:
-                        parent_hash = hash(parent)
-                    shard = parent_hash % workers
+                    entry = pop(parent_id)
+                    shard = entry[1] % workers
                     record = batches[shard][cursors[shard]]
                     cursors[shard] += 1
                     if record[0] != parent_id:
@@ -1365,137 +981,59 @@ class ShardedExplorer:
                             f"sharded merge desync: worker {shard} sent "
                             f"parent {record[0]}, expected {parent_id}"
                         )
-                    edge_list = record[1]
-                    if edge_list is None:  # max_events-capped parent
-                        succ_offsets.append(edges)
-                        continue
                     resolved = candidate_ids[shard]
-                    matches = parent._matches_extension
-                    for edge in edge_list:
-                        if type(edge) is int:
-                            succ_ids.append(resolved[edge])
-                            edges += 1
+                    candidates = state.candidates[shard]
+                    row = entry[0]
+                    for candidate in record[1]:
+                        index = candidate - layer_end
+                        if index < len(resolved):
+                            succ_ids.append(resolved[index])
                             continue
-                        event, child_hash = edge
-                        process = event.process
-                        old_history = parent._histories.get(process)
-                        new_history = (
-                            old_history + (event,)
-                            if old_history is not None
-                            else (event,)
+                        # The shard's first discovery of this child: it
+                        # may still be another shard's, or older.
+                        event, child_hash = candidates[index]
+                        position = index_of[event.process]
+                        child_row = (
+                            row[:position]
+                            + (row[position] + (event,),)
+                            + row[position + 1 :]
                         )
-                        existing = ids_by_hash.get(child_hash)
-                        if existing is None:
-                            if count >= limit:
-                                bound_error = (
-                                    _BOUND_MESSAGE % max_configurations
-                                )
-                                break
-                            child_id = count
-                        elif type(existing) is int:
-                            if matches(
-                                lookup(existing), process, new_history
-                            ):
-                                resolved.append(existing)
-                                succ_ids.append(existing)
-                                edges += 1
-                                continue
-                            # content-hash collision: open the bucket
-                            if count >= limit:
-                                bound_error = (
-                                    _BOUND_MESSAGE % max_configurations
-                                )
-                                break
-                            child_id = count
-                            ids_by_hash[child_hash] = [existing, child_id]
-                        else:
-                            for candidate_id in existing:
-                                if matches(
-                                    lookup(candidate_id),
-                                    process,
-                                    new_history,
-                                ):
-                                    child_id = candidate_id
-                                    break
-                            else:
-                                if count >= limit:
-                                    bound_error = (
-                                        _BOUND_MESSAGE % max_configurations
-                                    )
-                                    break
-                                child_id = count
-                                existing.append(child_id)
-                            if child_id != count:
-                                resolved.append(child_id)
-                                succ_ids.append(child_id)
-                                edges += 1
-                                continue
-                        # First discovery.
-                        if existing is None:
-                            ids_by_hash[child_hash] = child_id
-                        count += 1
-                        arena.append_child(
-                            parent_id,
-                            event,
-                            child_hash,
-                            _materialise_child(parent, event, child_hash),
+                        # Most candidates are new: skip the lookup call
+                        # when the hash is absent.
+                        child_id = (
+                            find(ids_by_hash, child_hash, child_row)
+                            if child_hash in ids_by_hash
+                            else None
                         )
-                        replay.append((parent_id, event))
+                        if child_id is None:
+                            if frontier.count >= limit:
+                                succ_offsets.append(len(succ_ids))
+                                universe._stop_at_bound(
+                                    max_configurations, on_limit
+                                )
+                                return
+                            child_id = admit(
+                                parent_id,
+                                entry,
+                                event,
+                                child_row,
+                                child_hash,
+                                ids_by_hash,
+                                arena,
+                            )
+                            replay.append((parent_id, event))
                         resolved.append(child_id)
                         succ_ids.append(child_id)
-                        edges += 1
-                    succ_offsets.append(edges)
-                    if bound_error is not None:
-                        break
-                if bound_error is not None:
+                    succ_offsets.append(len(succ_ids))
+                layers += 1
+                if universe._end_layer(
+                    frontier, layer_end, layers, replay, checkpoint, watchdog
+                ):
                     break
-                done = count == layer_end  # no new configurations
-                if arm_storage is not None:
-                    arm_storage(layer + 1)
-                if checkpoint is not None:
-                    checkpoint.commit_layer(
-                        replay, layer_end, universe, final=done
-                    )
-                # The consumed frontier is cold now: evict its window
-                # objects and seal/compress whole chunks below it.
-                arena.retire(layer_end)
                 layer_start = layer_end
-                layer += 1
-                if done:
-                    break
-                if watchdog is not None and watchdog.exceeded():
-                    if arena.spill_cold() and not watchdog.exceeded():
-                        # Graceful spill bought headroom; keep exploring.
-                        self.recovery_log.append(
-                            {
-                                "layer": layer,
-                                "shard": None,
-                                "kind": "rss_budget",
-                                "action": "spill",
-                                "detail": f"{count} configurations",
-                            }
-                        )
-                        continue
-                    self.recovery_log.append(
-                        {
-                            "layer": layer,
-                            "shard": None,
-                            "kind": "rss_budget",
-                            "action": "truncate",
-                            "detail": f"{count} configurations",
-                        }
-                    )
-                    rss_truncated = True
-                    break
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if bound_error is not None and on_limit == "raise":
-            raise UniverseError(bound_error)
-        if bound_error is not None or rss_truncated:
-            universe._complete = False
-            while len(succ_offsets) < len(arena) + 1:
-                succ_offsets.append(len(succ_ids))
 
 
 __all__ = [

@@ -29,6 +29,11 @@ checkpoint I/O is already retrying; the final completing run carries a
 *permanent* ``enospc``, so it finishes with checkpointing degraded and
 the survivor must resume from the last cleanly committed manifest.
 
+A SIGKILLed sharded run must not leave its workers behind: the harness
+records the killed process's children just before each kill and fails
+the campaign if any of them is still alive :data:`ORPHAN_GRACE` seconds
+later.
+
 Usable as a library (``tests/test_universe_chaos.py``) and as a CLI for
 the CI smoke::
 
@@ -63,6 +68,7 @@ from repro.universe.checkpoint import inspect_checkpoint  # noqa: E402
 TORN_SAVE_EXIT = 23  # os._exit status of the torn_save checkpoint fault
 POLL_INTERVAL = 0.001  # star explorations save layers every few ms
 DEFAULT_TIMEOUT = 180.0
+ORPHAN_GRACE = 10.0  # seconds a killed run's workers get to exit
 
 # Storage fault kinds that are absorbed (retried or merely slowed) so a
 # crashed attempt's checkpoint keeps advancing towards its kill target;
@@ -87,6 +93,7 @@ class ChaosAttempt:
     layers_on_disk: int
     returncode: int | None
     storage_faults: tuple[str, ...] = ()
+    children: tuple[int, ...] = ()  # child pids at the moment of a kill
 
 
 @dataclass
@@ -130,11 +137,17 @@ class ChaosResult:
                 if a.storage_faults
                 else ""
             )
+            children = (
+                f", killed with {len(a.children)} children"
+                if a.children
+                else ""
+            )
             lines.append(
                 f"  attempt {i}: workers={a.workers} "
                 f"PYTHONHASHSEED={a.hash_seed} {where}{storage} -> "
                 f"{a.outcome} "
-                f"(rc={a.returncode}, {a.layers_on_disk} layers on disk)"
+                f"(rc={a.returncode}, {a.layers_on_disk} layers on disk"
+                f"{children})"
             )
         lines.append(f"  completed: {self.completed}")
         return "\n".join(lines)
@@ -197,6 +210,51 @@ def orphan_on_disk(path: pathlib.Path) -> bool:
     return bool(report.get("orphans"))
 
 
+def child_pids(pid: int) -> tuple[int, ...]:
+    """The live child processes of ``pid`` (Linux ``/proc``)."""
+    children: list[int] = []
+    try:
+        threads = os.listdir(f"/proc/{pid}/task")
+    except OSError:
+        return ()
+    for thread in threads:
+        try:
+            with open(f"/proc/{pid}/task/{thread}/children") as handle:
+                children.extend(int(child) for child in handle.read().split())
+        except OSError:
+            continue
+    return tuple(sorted(set(children)))
+
+
+def is_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an exited orphan
+    may wait a while for its new parent to reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def surviving(pids, grace: float = ORPHAN_GRACE) -> list[int]:
+    """The ``pids`` still running after up to ``grace`` seconds."""
+    deadline = time.monotonic() + grace
+    alive = [pid for pid in pids if is_running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if is_running(pid)]
+    return alive
+
+
+def _sigkill(proc: subprocess.Popen) -> tuple[int, ...]:
+    """SIGKILL ``proc`` and return the children it had at that moment."""
+    children = child_pids(proc.pid)
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.wait()
+    return children
+
+
 def _run_and_kill(
     cmd: list[str],
     path: pathlib.Path,
@@ -204,12 +262,12 @@ def _run_and_kill(
     hash_seed: int,
     timeout: float,
     kill_on_orphan: bool = False,
-) -> tuple[str, int | None]:
+) -> tuple[str, int | None, tuple[int, ...]]:
     """Run the explorer; SIGKILL it once the checkpoint reaches the
     target layer — or, with ``kill_on_orphan``, the instant an
     uncommitted segment appears on disk (the stalled background writer
     sitting between append and manifest commit).  Returns (outcome,
-    returncode)."""
+    returncode, child pids at the kill)."""
     proc = subprocess.Popen(
         cmd,
         stdout=subprocess.DEVNULL,
@@ -226,24 +284,22 @@ def _run_and_kill(
             if kill_on_orphan and orphan_on_disk(path):
                 # The writer is inside the append->commit window: this
                 # SIGKILL lands mid-background-write by construction.
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.wait()
-                return "stall_kill", proc.returncode
+                children = _sigkill(proc)
+                return "stall_kill", proc.returncode, children
             if target_layer is not None and layers_on_disk(path) >= target_layer:
                 # No warning, no cleanup: the process is simply gone.
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.wait()
-                return "sigkill", proc.returncode
+                children = _sigkill(proc)
+                return "sigkill", proc.returncode, children
             time.sleep(POLL_INTERVAL)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
     if proc.returncode == TORN_SAVE_EXIT:
-        return "torn_save", proc.returncode
+        return "torn_save", proc.returncode, ()
     if proc.returncode == 0:
-        return "complete", proc.returncode
-    return f"error:{proc.returncode}", proc.returncode
+        return "complete", proc.returncode, ()
+    return f"error:{proc.returncode}", proc.returncode, ()
 
 
 def run_campaign(
@@ -268,7 +324,8 @@ def run_campaign(
     manifest replace (held open by the ``stall_write`` fault; first so
     the fresh file guarantees the watched-for orphan is ours).
     ``workers_schedule`` cycles across attempts, so mixed schedules
-    exercise kernel<->sharded resume of the same file.
+    exercise kernel<->sharded resume of the same file; a killed sharded
+    attempt's workers must be gone within :data:`ORPHAN_GRACE` seconds.
     ``spill_dir`` enables the arena's disk spill in every attempt (a
     SIGKILL mid-spill must be survived like any other — spilled chunks
     are a cache, never checkpoint state).
@@ -327,7 +384,7 @@ def run_campaign(
             elif torn_save and deaths == (1 if stall_kill else 0):
                 faults = (f"torn_save@{target_layer}",)
                 target_layer = None  # the fault itself is the killer
-        outcome, returncode = _run_and_kill(
+        outcome, returncode, children = _run_and_kill(
             explore_command(
                 path,
                 size,
@@ -350,8 +407,17 @@ def run_campaign(
                 layers_on_disk=layers_on_disk(path),
                 returncode=returncode,
                 storage_faults=storage_faults,
+                children=children,
             )
         )
+        orphans = surviving(children)
+        if orphans:
+            for pid in orphans:
+                os.kill(pid, signal.SIGKILL)
+            raise RuntimeError(
+                f"SIGKILLed run left workers {orphans} running "
+                f"{ORPHAN_GRACE:.0f}s later:\n" + result.describe()
+            )
         if outcome in ("sigkill", "stall_kill", "torn_save"):
             deaths += 1
         elif outcome == "complete":

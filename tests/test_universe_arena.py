@@ -17,11 +17,13 @@ import random
 
 import pytest
 
+from repro.core.configuration import EMPTY_CONFIGURATION
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.universe import arena as arena_module
 from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.builder import packed_store_of
 from repro.universe.explorer import Universe
+from repro.universe.frontier import Frontier
 
 from naive_explorer import assert_matches_oracle, naive_explore
 
@@ -172,9 +174,13 @@ class TestPackedTiers:
         arena = Universe(star(("w", "x", "y", "z")))
         records = arena._configurations.records(1, len(arena))
         tiny = ArenaStore(lru_size=4, chunk_cache_size=2)
-        ids_by_hash = tiny.replay(records)
+        tiny.append(EMPTY_CONFIGURATION)
+        ids_by_hash = {hash(EMPTY_CONFIGURATION): 0}
+        Frontier(arena.protocol, None, tiny).replay(
+            records, store=tiny, table=ids_by_hash
+        )
         assert ids_by_hash == arena._ids_by_hash
-        tiny.retire(len(tiny))  # evict the replay window: cold reads only
+        tiny.retire(len(tiny))  # seal every full chunk: cold reads only
         reference = naive_explore(star(("w", "x", "y", "z")))[0]
         assert len(tiny) == len(reference)
         rng = random.Random(29)

@@ -216,6 +216,19 @@ class TestShardedResume:
         assert resumed.recovery_log
         assert_bit_identical(single, resumed)
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_resuming_a_complete_checkpoint_adds_no_layer(
+        self, tmp_path, workers
+    ):
+        """Neither engine expands (or commits) anything past a finished
+        exploration's last layer."""
+        path = tmp_path / "done.ckpt"
+        single = Universe(star_protocol(5), checkpoint=path)
+        layers = inspect_checkpoint(path)["layers"]
+        resumed = Universe(star_protocol(5), checkpoint=path, workers=workers)
+        assert inspect_checkpoint(path)["layers"] == layers
+        assert_bit_identical(single, resumed)
+
 
 class TestStar7Acceptance:
     def test_interrupted_star7_resumes_exactly(self, tmp_path):

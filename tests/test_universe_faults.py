@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.core.configuration import EMPTY_CONFIGURATION
 from repro.core.errors import UniverseError
 from repro.protocols.broadcast import BroadcastProtocol, tree_topology
 from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
@@ -25,11 +26,12 @@ from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.arena import ArenaStore
 from repro.universe.explorer import Universe
 from repro.universe.faults import FAULT_KINDS, Fault, FaultPlan
+from repro.universe.frontier import Frontier
+from repro.universe.retry import transient_spawn_error
 from repro.universe.sharded import (
     ShardedExplorer,
     SupervisionPolicy,
     WorkerError,
-    _PackedReplica,
 )
 
 from naive_explorer import naive_explore
@@ -471,22 +473,28 @@ class TestSupervisionPolicyApi:
 class TestDiscoveryStreamReplay:
     def test_stream_replays_to_the_oracle_universe(self):
         """The failover replay source: the arena's discovery records,
-        replayed into a fresh store, rebuild the naive oracle's
-        configurations and the universe's hash table; a packed replica
-        fed the same stream reaches the same frontier."""
+        replayed by a frontier into a fresh store, rebuild the naive
+        oracle's configurations and the universe's hash table; a
+        worker's frontier fed the same stream (no store) reaches the
+        same window."""
         universe = Universe(star_protocol(5))
         stream = universe._configurations.records(1, len(universe))
         assert len(stream) == len(universe) - 1  # one record per discovery
         store = ArenaStore()
-        assert store.replay(stream) == universe._ids_by_hash
+        store.append(EMPTY_CONFIGURATION)
+        table = {hash(EMPTY_CONFIGURATION): 0}
+        installed = Frontier(universe.protocol, None, store)
+        installed.replay(stream, store=store, table=table)
+        assert table == universe._ids_by_hash
         configurations, _, _ = naive_explore(star_protocol(5))
         assert len(store) == len(configurations)
         for ours, theirs in zip(store, configurations):
             assert ours == theirs
             assert ours._histories == theirs._histories
-        replica = _PackedReplica(universe.protocol, None)
-        replica.apply(stream)
-        assert replica.count == len(universe)
+        worker = Frontier(universe.protocol)
+        worker.replay(stream)
+        assert worker.count == len(universe)
+        assert worker.window == installed.window
 
 
 class TestFaultSpecParsing:
@@ -612,13 +620,11 @@ class TestSpawnRetry:
     def test_transient_error_classification(self):
         import errno
 
-        from repro.universe.sharded import _transient_spawn_error
-
-        assert _transient_spawn_error(OSError(errno.EAGAIN, "try again"))
-        assert _transient_spawn_error(
+        assert transient_spawn_error(OSError(errno.EAGAIN, "try again"))
+        assert transient_spawn_error(
             OSError(12345, "resource temporarily unavailable")
         )
-        assert not _transient_spawn_error(OSError(errno.EPERM, "no"))
+        assert not transient_spawn_error(OSError(errno.EPERM, "no"))
 
     def test_eagain_is_retried_and_logged(self, monkeypatch):
         import errno

@@ -15,6 +15,7 @@ local histories, for every process subset.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -43,6 +44,8 @@ from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import PartitionTable, Universe
+from repro.universe.faults import FaultPlan
+from repro.universe.sharded import SupervisionPolicy
 
 from naive_explorer import assert_matches_oracle, naive_explore
 
@@ -170,6 +173,81 @@ class TestKernelAgainstOracle:
         oracle = naive_explore(star(("x", "y", "z")), max_events=max_events)
         assert not oracle[2]
         assert_matches_oracle(universe, oracle)
+
+
+FORCED_MODULUS = 101
+
+
+@pytest.fixture
+def colliding_hashes(monkeypatch):
+    """Shrink the content-hash modulus to 101 in every module that binds
+    it, so hash buckets hold several configurations: the row-comparison
+    dedup, list buckets and cross-layer collisions all run."""
+    real = sys.modules["repro.core.configuration"]._HASH_MODULUS
+    bound = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.")
+        and getattr(module, "_HASH_MODULUS", None) == real
+    ]
+    assert len(bound) >= 2  # the configuration module and the frontier
+    for module in bound:
+        monkeypatch.setattr(module, "_HASH_MODULUS", FORCED_MODULUS)
+
+
+def assert_buckets_formed(universe) -> None:
+    assert any(type(ids) is list for ids in universe._ids_by_hash.values())
+
+
+class TestForcedCollisions:
+    """Every engine against the oracle when content hashes collide."""
+
+    def star5(self):
+        return star(("w", "x", "y", "z"))
+
+    def test_kernel(self, colliding_hashes):
+        universe = Universe(self.star5())
+        assert_buckets_formed(universe)
+        assert_matches_oracle(universe, naive_explore(self.star5()))
+
+    def test_two_workers(self, colliding_hashes):
+        universe = Universe(self.star5(), workers=2)
+        assert_buckets_formed(universe)
+        assert_matches_oracle(universe, naive_explore(self.star5()))
+
+    def test_fold(self, colliding_hashes):
+        """A worker killed with no respawn budget: the coordinator
+        expands its shard for the rest of the run."""
+        universe = Universe(
+            self.star5(),
+            workers=2,
+            fault_plan=FaultPlan.kill(1, 2),
+            supervision=SupervisionPolicy(
+                heartbeat_timeout=5.0, poll_interval=0.02, max_respawns=0
+            ),
+        )
+        assert [event.rung for event in universe.recovery_log] == ["fold"]
+        assert_buckets_formed(universe)
+        assert_matches_oracle(universe, naive_explore(self.star5()))
+
+    def test_resume_from_every_layer(self, colliding_hashes, tmp_path):
+        """Truncate at every layer boundary and resume, alternating the
+        resuming engine."""
+        oracle = naive_explore(self.star5())
+        ends = layer_ends(oracle[1])
+        for layer, cap in enumerate(ends[1:], start=1):
+            path = tmp_path / f"layer{layer}.ckpt"
+            Universe(
+                self.star5(),
+                max_configurations=cap,
+                on_limit="truncate",
+                checkpoint=path,
+            )
+            resumed = Universe(
+                self.star5(), checkpoint=path, workers=2 if layer % 2 else None
+            )
+            assert_buckets_formed(resumed)
+            assert_matches_oracle(resumed, oracle)
 
 
 # ---------------------------------------------------------------------

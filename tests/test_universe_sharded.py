@@ -12,7 +12,13 @@ selective reception (``can_receive`` override) and custom system-level
 enabling (``enabled_events`` override).
 """
 
+import os
+import pathlib
 import random
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -31,6 +37,8 @@ from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
 from repro.universe.explorer import Universe, iter_bit_ids
 from repro.universe.sharded import resolve_workers
+
+from chaos import child_pids, surviving
 
 
 def star_protocol(size):
@@ -148,6 +156,20 @@ class TestShardedBounds:
         for sharded in universes[1:]:
             assert_bit_identical(universes[0], sharded)
 
+    def test_rss_truncation_matches_across_engines(self):
+        """An RSS budget no run fits: both engines truncate at the same
+        layer boundary and log the same recovery events."""
+        universes = [
+            Universe(star_protocol(5), rss_budget_mb=1, workers=workers)
+            for workers in (1, 2)
+        ]
+        logs = [
+            [(event.kind, event.rung, event.layer) for event in u.recovery_log]
+            for u in universes
+        ]
+        assert logs[0] == logs[1] == [("rss_budget", "truncate", 1)]
+        assert_bit_identical(*universes)
+
     def test_limit_raises_like_kernel(self):
         with pytest.raises(UniverseError, match="exceeded 50"):
             Universe(star_protocol(5), max_configurations=50, workers=2)
@@ -166,6 +188,51 @@ class TestShardedBounds:
         successors = sharded.successors(root)
         assert successors
         assert all(sharded.config_id(child) > 0 for child in successors)
+
+
+class TestCoordinatorDeath:
+    def test_sigkilled_coordinator_leaves_no_workers(self):
+        """SIGKILL a ``workers=2`` exploration mid-run: with the
+        coordinator gone its workers see their pipes close and exit."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "explore",
+                "broadcast",
+                "--topology",
+                "star",
+                "--size",
+                "8",
+                "--workers",
+                "2",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        workers: tuple[int, ...] = ()
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "exploration ended before the kill"
+                time.sleep(0.05)
+                workers = child_pids(proc.pid)
+            assert len(workers) == 2
+            time.sleep(0.5)  # let the layer exchange get going
+            assert proc.poll() is None, "exploration ended before the kill"
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            orphans = surviving(workers, grace=10.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in surviving(workers, grace=0):
+                os.kill(pid, signal.SIGKILL)
+        assert not orphans, f"workers {orphans} outlived their coordinator"
 
 
 class TestWorkerResolution:

@@ -140,6 +140,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
         f"compressed bytes), {stats['spilled_chunks']} spilled "
         f"({stats['spilled_bytes']} bytes on disk)"
     )
+    frontier = universe._frontier_stats
+    if frontier is not None:
+        local = ", ".join(
+            f"{process} {count}"
+            for process, count in frontier["local_states"].items()
+        )
+        print(
+            f"frontier: local states {local}; "
+            f"{frontier['channel_states']} channel states"
+        )
     session = universe._checkpoint_session
     if session is not None:
         if session.resumed_from is not None:

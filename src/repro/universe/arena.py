@@ -337,14 +337,22 @@ class ArenaStore:
         self._pinned[index] = configuration
         return index
 
-    def append_child(self, parent_id: int, event: Event, content_hash: int) -> int:
-        """Record a first discovery as one column row; a later read
-        materialises the object from the columns."""
+    def intern_event(self, event: Event) -> int:
+        """The column index of ``event`` in the event vocabulary, which
+        numbers events in order of first discovery."""
         event_index = self._event_index.get(event)
         if event_index is None:
             event_index = len(self._events)
             self._event_index[event] = event_index
             self._events.append(event)
+        return event_index
+
+    def append_child(
+        self, parent_id: int, event_index: int, content_hash: int
+    ) -> int:
+        """Record a first discovery as one column row — its event given
+        by :meth:`intern_event` index; a later read materialises the
+        object from the columns."""
         index = self._count
         self._tail_parent.append(parent_id)
         self._tail_event.append(event_index)

@@ -573,6 +573,8 @@ class Universe:
         self._succ_offsets = array("q", (0,))
         self._succ_ids = array("q")
         self._complete = True
+        # The exploring frontier's state-table sizes, kept when it ends.
+        self._frontier_stats: dict | None = None
         self._init_relation_caches()
         from repro.universe.sharded import ShardedExplorer, resolve_workers
 
@@ -765,6 +767,7 @@ class Universe:
                 gc.enable()
             if frontier.incomplete:
                 self._complete = False
+            self._frontier_stats = frontier.stats()
 
     def _open_frontier(self, session):
         """The frontier exploration starts from: the checkpoint's last
@@ -804,9 +807,9 @@ class Universe:
     ) -> bool:
         """Close BFS layer number ``layers`` (its parents end at
         ``layer_end``), for either engine: arm the storage faults due,
-        commit the layer's discovery ``records`` to the checkpoint, seal
-        the consumed arena chunks and rotate the frontier's memos, then
-        walk the RSS ladder (spill the cold tier, else truncate).
+        commit the layer's discovery ``records`` to the checkpoint and
+        seal the consumed arena chunks, then walk the RSS ladder (spill
+        the cold tier, else truncate).
         Returns ``True`` when exploration stops here: the layer found
         nothing new, or the watchdog truncated."""
         arena = self._configurations
@@ -815,7 +818,6 @@ class Universe:
         if session is not None:
             session.commit_layer(records, layer_end, self, final=final)
         arena.retire(layer_end)
-        frontier.rotate()
         if final or watchdog is None or not watchdog.exceeded():
             return final
         detail = f"{frontier.count} configurations"
@@ -1427,7 +1429,9 @@ class EnumeratedUniverse(Universe):
                 if len(history) != len(parent.history(process)):
                     event = history[-1]
                     break
-            store.append_child(parent_of[index], event, hash(configuration))
+            store.append_child(
+                parent_of[index], store.intern_event(event), hash(configuration)
+            )
         self._configurations = store
 
     @property

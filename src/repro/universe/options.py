@@ -56,8 +56,11 @@ __all__ = [
 class Limits:
     """Bounds on the explored universe.
 
-    ``max_events`` caps per-process history length (``None`` = the
-    protocol's own fixpoint); ``max_configurations`` caps the universe
+    ``max_events`` caps the total number of events in a configuration
+    (summed over all processes; ``None`` = the protocol's own fixpoint):
+    a configuration with ``max_events`` events is kept but not extended,
+    and the universe is marked incomplete if it had an enabled event.
+    ``max_configurations`` caps the universe
     size (``None`` = unbounded); ``on_limit`` picks what happens at the
     cap: ``"raise"`` or ``"truncate"`` (streaming partial universe).
     """

@@ -616,7 +616,6 @@ class ShardedExplorer:
         The coordinator's own frontier holds the layer a worker's replay
         would rebuild, so expanding the shard there re-derives exactly
         the batch the worker would have sent."""
-        self._frontier.forget_hashes()
         return _expand_shard(
             self._frontier, layer_start, layer_end, shard, self._workers
         )
@@ -899,6 +898,7 @@ class ShardedExplorer:
             self._collect_farewells()
             universe._worker_peak_rss_mb = dict(self.worker_peak_rss_mb)
         finally:
+            universe._frontier_stats = frontier.stats()
             self._frontier = None
             self._teardown()
 
@@ -952,7 +952,7 @@ class ShardedExplorer:
         succ_offsets = universe._succ_offsets
         limit = max_configurations if max_configurations is not None else inf
         pop = frontier.window.pop
-        index_of = frontier.index_of
+        child = frontier.child
         find = frontier.find
         admit = frontier.admit
         gc_was_enabled = gc.isenabled()
@@ -992,12 +992,7 @@ class ShardedExplorer:
                         # The shard's first discovery of this child: it
                         # may still be another shard's, or older.
                         event, child_hash = candidates[index]
-                        position = index_of[event.process]
-                        child_row = (
-                            row[:position]
-                            + (row[position] + (event,),)
-                            + row[position + 1 :]
-                        )
+                        step, child_row = child(row, event)
                         # Most candidates are new: skip the lookup call
                         # when the hash is absent.
                         child_id = (
@@ -1015,7 +1010,7 @@ class ShardedExplorer:
                             child_id = admit(
                                 parent_id,
                                 entry,
-                                event,
+                                step,
                                 child_row,
                                 child_hash,
                                 ids_by_hash,

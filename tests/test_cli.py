@@ -29,6 +29,22 @@ class TestCommands:
         assert "5 configurations" in output
         assert "self loop" in output
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_explore_reports_frontier_state_tables(self, capsys, workers):
+        """After the arena line: local states per process (the hub's
+        empty history, its learn event and four send prefixes; each
+        receiver's empty and received histories) and the channel states
+        created."""
+        assert main(
+            ["explore", "broadcast", "--topology", "star", "--size", "3",
+             "--workers", workers]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        arena = next(i for i, line in enumerate(lines) if line.startswith("arena:"))
+        assert lines[arena + 1] == (
+            "frontier: local states n0 6, n1 2, n2 2; 10 channel states"
+        )
+
     def test_explore_suppresses_large_diagrams(self, capsys):
         assert main(
             ["explore", "tokenbus", "--hops", "4", "--diagram-limit", "3"]

@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from repro.core.configuration import EMPTY_CONFIGURATION, _entry_hash
 from repro.protocols.broadcast import (
     BroadcastProtocol,
     star_topology,
@@ -42,10 +43,12 @@ from repro.protocols.termination import (
 from repro.protocols.toggle import ToggleProtocol
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
+from repro.universe.arena import ArenaStore
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import PartitionTable, Universe
 from repro.universe.faults import FaultPlan
-from repro.universe.sharded import SupervisionPolicy
+from repro.universe.frontier import Frontier
+from repro.universe.sharded import SupervisionPolicy, _expand_shard
 
 from naive_explorer import assert_matches_oracle, naive_explore
 
@@ -248,6 +251,73 @@ class TestForcedCollisions:
             )
             assert_buckets_formed(resumed)
             assert_matches_oracle(resumed, oracle)
+
+
+# ---------------------------------------------------------------------
+# Frontier state ids
+# ---------------------------------------------------------------------
+def kernel_layers(protocol):
+    """The kernel's loop driven by hand on a fresh arena: yields
+    ``(frontier, start, end)`` before each BFS layer's parents expand."""
+    store = ArenaStore()
+    store.append(EMPTY_CONFIGURATION)
+    table = {hash(EMPTY_CONFIGURATION): 0}
+    frontier = Frontier(protocol, None, store)
+    start = 0
+    while start < frontier.count:
+        end = frontier.count
+        yield frontier, start, end
+        for parent_id in range(start, end):
+            entry = frontier.window.pop(parent_id)
+            frontier.expand(parent_id, entry, table, [], None, store)
+        start = end
+
+
+class TestFrontierStateIds:
+    @pytest.mark.parametrize("factory", FACTORIES, ids=IDS)
+    def test_state_ids_are_canonical(self, factory):
+        """Every window row names the arena's configuration — histories
+        and message sets — through the state and channel tables; no two
+        states of a process share a history; each state's entry hash is
+        the rolling hash of its history."""
+        arena = Universe(factory())._configurations
+        for frontier, start, end in kernel_layers(factory()):
+            for config_id in range(start, end):
+                ours = frontier.transient(frontier.window[config_id])
+                expected = arena[config_id]
+                assert ours == expected
+                assert ours._histories == expected._histories
+                assert ours.received_messages == expected.received_messages
+                assert ours.in_flight_messages == expected.in_flight_messages
+        assert end == len(arena)
+        for position, process in enumerate(frontier.ordered):
+            histories = frontier.histories[position]
+            assert len(set(histories)) == len(histories)
+            for state, history in enumerate(histories):
+                assert frontier.entry_hashes[position][state] == _entry_hash(
+                    process, history
+                )
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_ids_never_leak_into_batches(self, shards):
+        """A frontier built by ``expand`` and one built by ``replay`` of
+        the same records (a respawned worker's, expanding its shards in
+        reverse) number their states differently, yet yield identical
+        batches for every shard of every layer of star n=5."""
+        numbering_differs = False
+        for built, start, end in kernel_layers(star(("w", "x", "y", "z"))):
+            replayed = Frontier(star(("w", "x", "y", "z")))
+            replayed.replay(built.arena.records(1, end))
+            batches = {
+                shard: _expand_shard(replayed, start, end, shard, shards)
+                for shard in reversed(range(shards))
+            }
+            for shard in range(shards):
+                assert _expand_shard(built, start, end, shard, shards) == (
+                    batches[shard]
+                )
+            numbering_differs |= replayed.histories != built.histories
+        assert numbering_differs
 
 
 # ---------------------------------------------------------------------
